@@ -53,29 +53,33 @@ def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
         return term, lam0
 
 
-@lru_cache(maxsize=4096)
-def _derivative_arrays(term: CorrectionTerm, order: int, dps: int):
-    """Coefficient arrays of the order-th derivative, computed exactly.
+def _differentiate(arrays, w):
+    """Coefficient arrays of the first derivative, computed exactly.
 
     One differentiation sends (a, b, c, d) to
         a'[p] = (p+1) a[p+1] - w b[p],     b'[p] = (p+1) b[p+1] + w a[p],
         c'[p] = (p+1) c[p+1] + w d[p],     d'[p] = (p+1) d[p+1] + w c[p],
-    keeping the array lengths fixed.
+    keeping the array lengths fixed.  Runs at the caller's precision.
     """
+    a, b, c, d = arrays
+    la, lc = len(a), len(c)
+    return (
+        tuple((a[p + 1] * (p + 1) if p + 1 < la else mpf(0)) - w * b[p] for p in range(la)),
+        tuple((b[p + 1] * (p + 1) if p + 1 < la else mpf(0)) + w * a[p] for p in range(la)),
+        tuple((c[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * d[p] for p in range(lc)),
+        tuple((d[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * c[p] for p in range(lc)),
+    )
+
+
+@lru_cache(maxsize=4096)
+def _derivative_arrays(term: CorrectionTerm, order: int, dps: int):
+    """Coefficient arrays of the order-th derivative at dps digits."""
     with mp.workdps(dps):
         w = mp.pi * term.n / term.X
-        a, b, c, d = term.a, term.b, term.c, term.d
+        arrays = (term.a, term.b, term.c, term.d)
         for _ in range(order):
-            la, lc = len(a), len(c)
-            a, b = (
-                tuple((a[p + 1] * (p + 1) if p + 1 < la else mpf(0)) - w * b[p] for p in range(la)),
-                tuple((b[p + 1] * (p + 1) if p + 1 < la else mpf(0)) + w * a[p] for p in range(la)),
-            )
-            c, d = (
-                tuple((c[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * d[p] for p in range(lc)),
-                tuple((d[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * c[p] for p in range(lc)),
-            )
-        return a, b, c, d
+            arrays = _differentiate(arrays, w)
+        return arrays
 
 
 def _eval_arrays(arrays, x, basis) -> mpf:

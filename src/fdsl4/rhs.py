@@ -1,35 +1,31 @@
 """Right-hand side of the step problem, grouped by basis function.
 
-Step j+1 of the method solves  u'''' - lambda0 u = F  where
+Step j+1 of the method solves  u'''' - lambda0 u = F + lambda^(j+1) u^(0)  where
 
-    F = sum_{p=0..j} lambda^(j+1-p) u^(p)  -  q2 u^(j)'' - q1 u^(j)' - q0 u^(j).
+    F = sum_{s=1..j} lambda^(j+1-s) u^(s)  -  q2 u^(j)'' - q1 u^(j)' - q0 u^(j).
 
-Substituting the mixed-basis representation of the earlier corrections and
-collecting powers of x gives four dense coefficient families
+Every term lives in the mixed basis, so F is four dense coefficient families
 
     F = sum_t x^t (f_cos[t] cos + f_sin[t] sin)    t = 0 .. M(j+1)-1
       + sum_t x^t (f_cosh[t] cosh + f_sinh[t] sinh)  t = 0 .. M(j)-1
 
-(arguments pi n x / X throughout).  The accumulation below is the direct
-translation of that collection: the eigenvalue sums touch every earlier step
-whose arrays reach power t, while the potential products couple step-j
-coefficients at power shifts 0, 1, 2 with q0/q1/q2 and the derivative factors.
-Empty index ranges contribute nothing.
+(arguments pi n x / X throughout).  :func:`build_rhs` forms them in three
+parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; a
+polynomial convolution applies q0, q1 and q2; the eigenvalue sum adds the
+earlier corrections.  The newest correction lambda^(j+1) is not known yet: it
+is minus the projection of F onto the base eigenfunction (solvability), and
+since u^(0) is a multiple of sin it enters through f_sin[0] alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf
 
+from .corrections import CorrectionTerm, _differentiate, _eval_arrays, basis_values
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
-
-if TYPE_CHECKING:
-    from .spectral import MomentTable
 
 
 class MissingHistoryError(RuntimeError):
@@ -48,105 +44,53 @@ class RhsCoefficients:
     f_sinh: tuple
 
 
-def _padded(coeffs: tuple, length: int):
-    return list(coeffs) + [mpf(0)] * (length - len(coeffs))
-
-
-def build_rhs(spec: ProblemSpec, n: int, j: int, history,
+def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
               ctx: PrecisionContext) -> RhsCoefficients:
-    """Assemble the grouped coefficient arrays of F for step j+1.
+    """Coefficient arrays of F for step j+1, without the lambda^(j+1) u^(0) summand.
 
-    ``history`` must hold terms for steps 0..j and eigenvalue values for
-    steps 0..j+1 (the newest correction enters the eigenvalue sum).
+    ``terms`` must hold the corrections for steps 0..j and ``lambdas`` the
+    eigenvalue values for steps 0..j (base first); later entries are ignored.
     """
-    if len(history.terms) < j + 1 or len(history.lambdas) < j + 2:
+    if len(terms) < j + 1 or len(lambdas) < j + 1:
         raise MissingHistoryError(
-            f"step {j + 1} needs terms 0..{j} and eigenvalue entries 0..{j + 1}; "
-            f"have {len(history.terms)} terms, {len(history.lambdas)} eigenvalues")
-    budget = spec.budget
-    r = budget.r
-    M1, M0, Mm1 = budget.M(j + 1), budget.M(j), budget.M(j - 1)
+            f"step {j + 1} needs terms and eigenvalue entries 0..{j}; "
+            f"have {len(terms)} terms, {len(lambdas)} eigenvalues")
+    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
     with ctx.workprec():
         w = mp.pi * n / spec.X
-        w2 = w * w
-        A = _padded(spec.q0.coeffs, r + 1)
-        B = _padded(spec.q1.coeffs, r + 1)
-        C = _padded(spec.q2.coeffs, r + 1)
-        lam = history.lambdas
-        fc = [mpf(0)] * M1
-        fs = [mpf(0)] * M1
-        fch = [mpf(0)] * max(0, M0)
-        fsh = [mpf(0)] * max(0, M0)
+        u = terms[j]
+        u0 = (u.a, u.b, u.c, u.d)
+        u1 = _differentiate(u0, w)
+        u2 = _differentiate(u1, w)
+        # ordered like the term arrays: sin, cos, sinh, cosh
+        f = ([mpf(0)] * M1, [mpf(0)] * M1, [mpf(0)] * M0, [mpf(0)] * M0)
 
-        # eigenvalue sums over every step whose arrays reach power t
-        for t in range(M0 + 1):
-            for s in range(ceil(t / (r + 1)), j + 1):
-                term = history.terms[s]
-                fc[t] += lam[j + 1 - s] * term.b[t]
-                fs[t] += lam[j + 1 - s] * term.a[t]
-        for t in range(Mm1 + 1):
-            for s in range(ceil(t / (r + 1)) + 1, j + 1):
-                term = history.terms[s]
-                fch[t] += lam[j + 1 - s] * term.d[t]
-                fsh[t] += lam[j + 1 - s] * term.c[t]
+        # -q0*u - q1*u' - q2*u'': power t of q times power p of the arrays
+        for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2)):
+            for t, qt in enumerate(q.coeffs):
+                if not qt:
+                    continue
+                for out, arr in zip(f, arrays):
+                    for p, v in enumerate(arr):
+                        out[p + t] -= qt * v
 
-        a, b = history.terms[j].a, history.terms[j].b
-        c, d = history.terms[j].c, history.terms[j].d
+        for s in range(1, j + 1):
+            lam = lambdas[j + 1 - s]
+            term = terms[s]
+            for out, arr in zip(f, (term.a, term.b, term.c, term.d)):
+                for p, v in enumerate(arr):
+                    out[p] += lam * v
 
-        # -q0*u - q1*u' - q2*u'', trigonometric part: power shifts 0, 1, 2
-        for t in range(M1):
-            for l in range(max(0, t - M0), min(r, t) + 1):
-                fc[t] += b[t - l] * (C[l] * w2 - A[l]) - a[t - l] * B[l] * w
-                fs[t] += a[t - l] * (C[l] * w2 - A[l]) + b[t - l] * B[l] * w
-        for t in range(M1 - 1):
-            for l in range(max(0, t - M0 + 1), min(r, t) + 1):
-                q = t - l + 1
-                fc[t] -= (b[q] * B[l] + a[q] * C[l] * 2 * w) * q
-                fs[t] -= (a[q] * B[l] - b[q] * C[l] * 2 * w) * q
-        for t in range(M1 - 2):
-            for l in range(max(0, t - M0 + 2), min(r, t) + 1):
-                q = t - l + 2
-                fc[t] -= b[q] * C[l] * q * (q - 1)
-                fs[t] -= a[q] * C[l] * q * (q - 1)
-
-        # hyperbolic part (first present at j = 1)
-        for t in range(max(0, M0)):
-            for l in range(max(0, t - Mm1), min(r, t) + 1):
-                fch[t] -= d[t - l] * (A[l] + C[l] * w2) + c[t - l] * B[l] * w
-                fsh[t] -= c[t - l] * (A[l] + C[l] * w2) + d[t - l] * B[l] * w
-        for t in range(max(0, M0 - 1)):
-            for l in range(max(0, t - Mm1 + 1), min(r, t) + 1):
-                q = t - l + 1
-                fch[t] -= (d[q] * B[l] + c[q] * C[l] * 2 * w) * q
-                fsh[t] -= (c[q] * B[l] + d[q] * C[l] * 2 * w) * q
-        for t in range(max(0, M0 - 2)):
-            for l in range(max(0, t - Mm1 + 2), min(r, t) + 1):
-                q = t - l + 2
-                fch[t] -= d[q] * C[l] * q * (q - 1)
-                fsh[t] -= c[q] * C[l] * q * (q - 1)
-
-        return RhsCoefficients(n=n, j=j, f_cos=tuple(fc), f_sin=tuple(fs),
-                               f_cosh=tuple(fch), f_sinh=tuple(fsh))
+        f_sin, f_cos, f_sinh, f_cosh = (tuple(arr) for arr in f)
+        return RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
+                               f_cosh=f_cosh, f_sinh=f_sinh)
 
 
-def solvability_defect(rhs: RhsCoefficients, table: "MomentTable",
-                       ctx: PrecisionContext) -> mpf:
-    """Inner product of F with the base eigenfunction, via the moment table.
-
-    Zero (to rounding) exactly when the eigenvalue correction used to build
-    F satisfies the solvability condition of the step problem.
-    """
+def add_base_term(rhs: RhsCoefficients, lam, base: CorrectionTerm,
+                  ctx: PrecisionContext) -> RhsCoefficients:
+    """F + lam * u^(0): the right-hand side that the step problem inverts."""
     with ctx.workprec():
-        ip = mpf(0)
-        for t, v in enumerate(rhs.f_cos):
-            ip += v * table.beta[t]
-        for t, v in enumerate(rhs.f_sin):
-            ip += v * table.alpha[t]
-        for t, v in enumerate(rhs.f_cosh):
-            ip += v * table.eta[t]
-        for t, v in enumerate(rhs.f_sinh):
-            ip += v * table.mu[t]
-        return mp.sqrt(2 / table.X) * ip
+        return replace(rhs, f_sin=(rhs.f_sin[0] + lam * base.a[0],) + rhs.f_sin[1:])
 
 
 def eval_rhs(rhs: RhsCoefficients, spec: ProblemSpec, x, ctx: PrecisionContext,
@@ -155,13 +99,5 @@ def eval_rhs(rhs: RhsCoefficients, spec: ProblemSpec, x, ctx: PrecisionContext,
     with ctx.workprec():
         x = mpf(x)
         if basis is None:
-            wx = mp.pi * rhs.n / spec.X * x
-            basis = (mp.sin(wx), mp.cos(wx), mp.sinh(wx), mp.cosh(wx))
-        sx, cx, shx, chx = basis
-        trig = mpf(0)
-        for t in range(len(rhs.f_cos) - 1, -1, -1):
-            trig = trig * x + rhs.f_cos[t] * cx + rhs.f_sin[t] * sx
-        hyp = mpf(0)
-        for t in range(len(rhs.f_cosh) - 1, -1, -1):
-            hyp = hyp * x + rhs.f_cosh[t] * chx + rhs.f_sinh[t] * shx
-        return trig + hyp
+            basis = basis_values(rhs.n, spec.X, x, ctx)
+        return _eval_arrays((rhs.f_sin, rhs.f_cos, rhs.f_sinh, rhs.f_cosh), x, basis)

@@ -7,16 +7,17 @@ factorials, powers of 2 pi n (or sqrt(2) pi n) and exact quarter/eighth-period
 trigonometric values, so a :class:`MomentTable` is filled once per (n, rank)
 and shared read-only by every step.
 
-The eigenvalue correction for step j+1 is the inner product of the step-j
-correction, pushed through the potential part of the operator, with the base
-eigenfunction; expanding in the mixed basis turns it into six finite double
-sums over the moment table.  It must be computed before the step-(j+1)
-right-hand side, which consumes it.
+One step of the method is the three-part FD step: apply the potential part
+of the operator to the newest correction in the mixed basis
+(:func:`fdsl4.rhs.build_rhs`), project the result onto the base
+eigenfunction to get the next eigenvalue correction
+(:func:`lambda_correction`), and invert u'''' - lambda0 u with 2x2
+recurrences (:func:`fdsl4.recursion.solve_step`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -24,7 +25,7 @@ from . import recursion
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
-from .rhs import build_rhs
+from .rhs import RhsCoefficients, add_base_term, build_rhs
 
 
 @dataclass(frozen=True)
@@ -91,80 +92,28 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
                            eta=tuple(eta), mu=tuple(mu))
 
 
-@dataclass
-class History:
-    """Ordered eigenvalue values (base first) and correction terms so far.
+def lambda_correction(rhs: RhsCoefficients, table: MomentTable,
+                      ctx: PrecisionContext) -> mpf:
+    """Eigenvalue correction lambda^(j+1) from F of :func:`build_rhs`.
 
-    The eigenvalue list may run one step ahead of the terms: the correction
-    for step j+1 is fixed by solvability before its term is constructed.
+    Solvability of the step problem asks F + lambda^(j+1) u^(0) to be
+    orthogonal to the normalized u^(0), so lambda^(j+1) = -<F, u^(0)>: the
+    moment table turns that inner product into one sum per basis family.
     """
-
-    lambdas: list = field(default_factory=list)
-    terms: list = field(default_factory=list)
-
-    def append_lambda(self, value) -> None:
-        self.lambdas.append(value)
-
-    def append_term(self, term: CorrectionTerm) -> None:
-        if term.j != len(self.terms):
-            raise ValueError(f"expected term for step {len(self.terms)}, got {term.j}")
-        self.terms.append(term)
-
-
-def lambda_correction(j: int, n: int, spec: ProblemSpec, history: History,
-                      table: MomentTable, ctx: PrecisionContext) -> mpf:
-    """Eigenvalue correction for step j+1 from the step-j term.
-
-    Six double sums pair the step-j coefficient arrays, shifted by the
-    derivative order of each potential product, against the moment table.
-    """
-    budget = spec.budget
-    r = budget.r
-    M1, M0, Mm1 = budget.M(j + 1), budget.M(j), budget.M(j - 1)
-    term = history.terms[j]
-    a, b, c, d = term.a, term.b, term.c, term.d
-    alpha, beta, eta, mu = table.alpha, table.beta, table.eta, table.mu
     with ctx.workprec():
-        w = mp.pi * n / spec.X
-        w2 = w * w
-        A = list(spec.q0.coeffs) + [mpf(0)] * (r + 1 - len(spec.q0.coeffs))
-        B = list(spec.q1.coeffs) + [mpf(0)] * (r + 1 - len(spec.q1.coeffs))
-        C = list(spec.q2.coeffs) + [mpf(0)] * (r + 1 - len(spec.q2.coeffs))
-        tot = mpf(0)
-        for t in range(M1):
-            for l in range(max(0, t - M0), min(r, t) + 1):
-                tot += w * B[l] * (beta[t] * a[t - l] - alpha[t] * b[t - l])
-                tot -= (beta[t] * b[t - l] + alpha[t] * a[t - l]) * (C[l] * w2 - A[l])
-        for t in range(M1 - 1):
-            for l in range(max(0, t - M0 + 1), min(r, t) + 1):
-                q = t - l + 1
-                tot += q * (B[l] * (beta[t] * b[q] + alpha[t] * a[q])
-                            + 2 * w * C[l] * (beta[t] * a[q] - alpha[t] * b[q]))
-        for t in range(M1 - 2):
-            for l in range(max(0, t - M0 + 2), min(r, t) + 1):
-                q = t - l + 2
-                tot += q * (q - 1) * C[l] * (beta[t] * b[q] + alpha[t] * a[q])
-        for t in range(max(0, M0)):
-            for l in range(max(0, t - Mm1), min(r, t) + 1):
-                tot += w * B[l] * (eta[t] * c[t - l] + mu[t] * d[t - l])
-                tot += (eta[t] * d[t - l] + mu[t] * c[t - l]) * (A[l] + w2 * C[l])
-        for t in range(max(0, M0 - 1)):
-            for l in range(max(0, t - Mm1 + 1), min(r, t) + 1):
-                q = t - l + 1
-                tot += q * (B[l] * (eta[t] * d[q] + mu[t] * c[q])
-                            + 2 * w * C[l] * (eta[t] * c[q] + mu[t] * d[q]))
-        for t in range(max(0, M0 - 2)):
-            for l in range(max(0, t - Mm1 + 2), min(r, t) + 1):
-                q = t - l + 2
-                tot += q * (q - 1) * C[l] * (eta[t] * d[q] + mu[t] * c[q])
-        return mp.sqrt(2 / spec.X) * tot
+        ip = mpf(0)
+        for f, moment in ((rhs.f_sin, table.alpha), (rhs.f_cos, table.beta),
+                          (rhs.f_sinh, table.mu), (rhs.f_cosh, table.eta)):
+            for t, v in enumerate(f):
+                ip += v * moment[t]
+        return -mp.sqrt(2 / table.X) * ip
 
 
 def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolution:
     """Rank-m approximation to eigenpair n.
 
-    Stages per step j = 0..m-1: eigenvalue correction (solvability), grouped
-    right-hand side, closed-form top coefficients, downward recurrence,
+    Stages per step j = 0..m-1: right-hand side F, eigenvalue correction as
+    its projection, closed-form top coefficients, downward recurrence,
     power-0 closure, term assembly.  Steps are inherently sequential;
     different n are independent.
     """
@@ -173,29 +122,12 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     if m < 0:
         raise ValueError("rank must be >= 0")
     term0, lam0 = base_pair(spec, n, ctx)
-    history = History(lambdas=[lam0], terms=[term0])
+    terms, lambdas = [term0], [lam0]
     table = moments(n, spec.X, spec.budget.M(m) + spec.budget.r + 1, ctx)
     for j in range(m):
-        history.append_lambda(lambda_correction(j, n, spec, history, table, ctx))
-        step_rhs = build_rhs(spec, n, j, history, ctx)
+        step_rhs = build_rhs(spec, n, j, terms, lambdas, ctx)
+        lambdas.append(lambda_correction(step_rhs, table, ctx))
+        step_rhs = add_base_term(step_rhs, lambdas[-1], term0, ctx)
         a, b, c, d = recursion.solve_step(spec, n, j, step_rhs, table, ctx)
-        history.append_term(CorrectionTerm(j=j + 1, n=n, X=spec.X,
-                                           a=a, b=b, c=c, d=d))
-    return assemble(history.terms, history.lambdas, m, ctx)
-
-
-def x_potential_second_correction(n: int, ctx: PrecisionContext) -> mpf:
-    """Closed-form second eigenvalue correction for q0 = x on [0, 1].
-
-    For that problem the correction series is known in closed form through
-    the second step:
-
-        1/(32 (n pi)^4) - 5/(32 (n pi)^6)
-        + (cos(pi n) - cosh(pi n)) / (2 (n pi)^7 sinh(pi n)).
-
-    Used as an independent cross-check of the recursion machinery.
-    """
-    with ctx.workprec():
-        pn = mp.pi * n
-        return (1 / (32 * pn ** 4) - 5 / (32 * pn ** 6)
-                + (mp.cos(pn) - mp.cosh(pn)) / (2 * pn ** 7 * mp.sinh(pn)))
+        terms.append(CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d))
+    return assemble(terms, lambdas, m, ctx)

@@ -27,7 +27,7 @@ from importlib import resources
 
 from mpmath import mp, mpf
 
-from .corrections import FDSolution, _derivative_arrays, _eval_arrays
+from .corrections import FDSolution, _derivative_arrays, _eval_arrays, basis_values
 from .numerics import PrecisionContext
 from .problem import ProblemSpec, poly_eval
 
@@ -139,8 +139,7 @@ def _phi_pieces(sol: FDSolution, spec: ProblemSpec, x, ctx: PrecisionContext):
     Derivatives multiplied by identically-zero potentials are skipped.
     """
     with ctx.workprec():
-        wx = mp.pi * sol.n / sol.X * x
-        basis = (mp.sin(wx), mp.cos(wx), mp.sinh(wx), mp.cosh(wx))
+        basis = basis_values(sol.n, sol.X, x, ctx)
         q0x = poly_eval(spec.q0, x)
         has_q1 = any(c != 0 for c in spec.q1.coeffs)
         has_q2 = any(c != 0 for c in spec.q2.coeffs)
@@ -336,22 +335,21 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> Galerkin
             tail = I_s[l][d] if d >= 0 else -I_s[l][-d]
             return (I_s[l][p + q] - tail) / 2
 
-        A = list(spec.q0.coeffs) + [mpf(0)] * (r + 1 - len(spec.q0.coeffs))
-        B = list(spec.q1.coeffs) + [mpf(0)] * (r + 1 - len(spec.q1.coeffs))
-        C = list(spec.q2.coeffs) + [mpf(0)] * (r + 1 - len(spec.q2.coeffs))
         rows = []
         for p in range(1, N + 1):
             wp = p * mp.pi / X
             row = []
             for q in range(1, N + 1):
                 entry = mpf(0)
-                for l in range(r + 1):
-                    if A[l]:
-                        entry += A[l] * sin_sin(l, p, q)
-                    if C[l]:
-                        entry -= C[l] * wp ** 2 * sin_sin(l, p, q)
-                    if B[l]:
-                        entry += B[l] * wp * cos_sin(l, p, q)
+                for l, c in enumerate(spec.q0.coeffs):
+                    if c:
+                        entry += c * sin_sin(l, p, q)
+                for l, c in enumerate(spec.q2.coeffs):
+                    if c:
+                        entry -= c * wp ** 2 * sin_sin(l, p, q)
+                for l, c in enumerate(spec.q1.coeffs):
+                    if c:
+                        entry += c * wp * cos_sin(l, p, q)
                 entry *= 2 / X
                 if p == q:
                     entry += wp ** 4

@@ -14,8 +14,16 @@ import random
 import pytest
 
 from fdsl4 import PrecisionContext, ProblemSpec, residual_sweep, solve
+from fdsl4.rhs import add_base_term, build_rhs
 
 B2_INDICES = (1, 2, 3, 4, 5, 10, 20, 50)
+
+
+def step_rhs(spec, sol, j, ctx):
+    """Right-hand side F + lambda^(j+1) u^(0) that step j+1 of sol inverted."""
+    lambdas = (sol.lambda0,) + sol.lambda_corrections
+    rhs = build_rhs(spec, sol.n, j, sol.terms, lambdas, ctx)
+    return add_base_term(rhs, lambdas[j + 1], sol.terms[0], ctx)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they check: naive
 summation instead of Horner, the literal multi-index product expansion of the
 coefficient recurrence instead of the forward iteration, and the scalar
-power-matching relations instead of the vectorized walk.
+power-matching relations instead of the vectorized walk, and a closed-form
+eigenvalue correction instead of the moment-table projection.
 """
 
 import itertools
@@ -122,3 +123,20 @@ def least_squares_slope(xs, ys):
     num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     den = sum((x - mean_x) ** 2 for x in xs)
     return num / den
+
+
+def x_potential_second_correction(n, ctx):
+    """Closed-form second eigenvalue correction for q0 = x on [0, 1].
+
+    For that problem the correction series is known in closed form through
+    the second step:
+
+        1/(32 (n pi)^4) - 5/(32 (n pi)^6)
+        + (cos(pi n) - cosh(pi n)) / (2 (n pi)^7 sinh(pi n)).
+
+    Used as an independent cross-check of the recursion machinery.
+    """
+    with ctx.workprec():
+        pn = mp.pi * n
+        return (1 / (32 * pn ** 4) - 5 / (32 * pn ** 6)
+                + (mp.cos(pn) - mp.cosh(pn)) / (2 * pn ** 7 * mp.sinh(pn)))

@@ -15,11 +15,12 @@ from fdsl4 import (PrecisionContext, assemble, eval_term,
                    residual_sweep, solve)
 from fdsl4.convergence import constant_Mn, convergence_report, majorant
 from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence, top_initial_coeffs
-from fdsl4.rhs import build_rhs, eval_rhs, solvability_defect
-from fdsl4.spectral import History, x_potential_second_correction
+from fdsl4.rhs import eval_rhs
+from fdsl4.spectral import lambda_correction
 
-from .conftest import B2_INDICES
-from .oracles import least_squares_slope, product_expansion_pair
+from .conftest import B2_INDICES, step_rhs
+from .oracles import (least_squares_slope, product_expansion_pair,
+                      x_potential_second_correction)
 
 ORACLE_CTX = PrecisionContext(digits=50)
 
@@ -173,8 +174,6 @@ def _property_defects(spec, n, m, ctx):
     """Max defect of each structural property for one solve."""
     sol = solve(spec, n, m, ctx)
     table = moments(n, spec.X, spec.budget.M(m) + spec.budget.r + 1, ctx)
-    hist = History(lambdas=[sol.lambda0, *sol.lambda_corrections],
-                   terms=list(sol.terms))
     rng = random.Random(1000 * n + m)
     with ctx.workprec():
         bc = mpf(0)
@@ -192,8 +191,8 @@ def _property_defects(spec, n, m, ctx):
                 ip += table.mu[t] * ct + table.eta[t] * dt
             ortho = max(ortho, abs(mp.sqrt(2 / spec.X) * ip))
         for j in range(m):
-            step = build_rhs(spec, n, j, hist, ctx)
-            solv = max(solv, abs(solvability_defect(step, table, ctx)))
+            step = step_rhs(spec, sol, j, ctx)
+            solv = max(solv, abs(lambda_correction(step, table, ctx)))
             term = sol.terms[j + 1]
             for _ in range(100):
                 x = spec.X * mpf(rng.random())
@@ -207,12 +206,10 @@ def _property_defects(spec, n, m, ctx):
 def _recurrence_vs_product(spec, n, ctx):
     """Max mismatch between the forward walk and the product expansion."""
     sol = solve(spec, n, 2, ctx)
-    hist = History(lambdas=[sol.lambda0, *sol.lambda_corrections],
-                   terms=list(sol.terms))
     with ctx.workprec():
         worst = mpf(0)
         for j in (0, 1):
-            step = build_rhs(spec, n, j, hist, ctx)
+            step = step_rhs(spec, sol, j, ctx)
             for family in (TRIG, HYP):
                 top = top_initial_coeffs(spec, family, step, n, j, ctx)
                 if top is None:

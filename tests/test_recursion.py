@@ -5,12 +5,13 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from fdsl4 import PrecisionContext, ProblemSpec, base_pair, eval_term, moments, solve
+from fdsl4 import (PrecisionContext, ProblemSpec, base_pair, eval_term,
+                   lambda_correction, moments, solve)
 from fdsl4.recursion import (HYP, TRIG, family_budget, run_recurrence,
                              top_initial_coeffs)
-from fdsl4.rhs import RhsCoefficients, build_rhs, eval_rhs
-from fdsl4.spectral import History, lambda_correction
+from fdsl4.rhs import RhsCoefficients, add_base_term, build_rhs, eval_rhs
 
+from .conftest import step_rhs
 from .oracles import power_matching_mismatch, product_expansion_pair
 
 CTX = PrecisionContext(digits=120)
@@ -24,10 +25,9 @@ def x_potential():
 
 def _first_step_rhs(spec, n):
     term0, lam0 = base_pair(spec, n, CTX)
-    hist = History(lambdas=[lam0], terms=[term0])
     table = moments(n, spec.X, spec.budget.M(3) + spec.budget.r + 1, CTX)
-    hist.append_lambda(lambda_correction(0, n, spec, hist, table, CTX))
-    return build_rhs(spec, n, 0, hist, CTX), table
+    rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
+    return add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX), table
 
 
 def test_x_potential_top_coeffs(x_potential):
@@ -131,12 +131,10 @@ def test_iteration_matches_product_expansion(benchmark1):
     # the literal product-sum expansion must agree with the forward walk
     n, m = 2, 3
     sol = solve(benchmark1, n, m, CTX)
-    hist = History(lambdas=[sol.lambda0, *sol.lambda_corrections],
-                   terms=list(sol.terms))
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 10)
         for j in (0, 1):
-            rhs = build_rhs(benchmark1, n, j, hist, CTX)
+            rhs = step_rhs(benchmark1, sol, j, CTX)
             for family in (TRIG, HYP):
                 top = top_initial_coeffs(benchmark1, family, rhs, n, j, CTX)
                 if top is None:
@@ -156,11 +154,9 @@ def test_power_matching_relations(benchmark1):
     # collected coefficient arrays satisfy the scalar power-matching identities
     n, m = 1, 4
     sol = solve(benchmark1, n, m, CTX)
-    hist = History(lambdas=[sol.lambda0, *sol.lambda_corrections],
-                   terms=list(sol.terms))
     with CTX.workprec():
         for j in range(m):
-            rhs = build_rhs(benchmark1, n, j, hist, CTX)
+            rhs = step_rhs(benchmark1, sol, j, CTX)
             mismatch = power_matching_mismatch(benchmark1, sol.terms[j + 1], rhs, CTX)
             assert mismatch < mpf(10) ** -(CTX.digits - 20)
 
@@ -169,13 +165,11 @@ def test_ode_step_residual_pointwise(benchmark1):
     # each term solves u'''' - lambda0 u = F at interior points
     n, m = 1, 3
     sol = solve(benchmark1, n, m, CTX)
-    hist = History(lambdas=[sol.lambda0, *sol.lambda_corrections],
-                   terms=list(sol.terms))
     rng = random.Random(11)
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 25)
         for j in range(m):
-            rhs = build_rhs(benchmark1, n, j, hist, CTX)
+            rhs = step_rhs(benchmark1, sol, j, CTX)
             term = sol.terms[j + 1]
             for _ in range(100):
                 x = benchmark1.X * mpf(rng.random())

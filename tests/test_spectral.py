@@ -5,7 +5,9 @@ from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
                    lambda_correction, moments, solve)
-from fdsl4.spectral import History, x_potential_second_correction
+from fdsl4.rhs import build_rhs
+
+from .oracles import x_potential_second_correction
 
 CTX = PrecisionContext(digits=120)
 
@@ -48,18 +50,18 @@ def test_first_correction_x_potential(x_potential):
     # exactly 1/2 for every index
     for n in (1, 2, 9):
         term0, lam0 = base_pair(x_potential, n, CTX)
-        hist = History(lambdas=[lam0], terms=[term0])
         table = moments(n, x_potential.X, 4, CTX)
-        lam1 = lambda_correction(0, n, x_potential, hist, table, CTX)
+        rhs = build_rhs(x_potential, n, 0, [term0], [lam0], CTX)
+        lam1 = lambda_correction(rhs, table, CTX)
         with CTX.workprec():
             assert abs(lam1 - mpf(1) / 2) < mpf(10) ** -(CTX.digits - 10)
 
 
 def test_first_correction_benchmark1(benchmark1):
     term0, lam0 = base_pair(benchmark1, 1, CTX)
-    hist = History(lambdas=[lam0], terms=[term0])
     table = moments(1, benchmark1.X, 8, CTX)
-    lam1 = lambda_correction(0, 1, benchmark1, hist, table, CTX)
+    lam1 = lambda_correction(build_rhs(benchmark1, 1, 0, [term0], [lam0], CTX),
+                             table, CTX)
     with CTX.workprec():
         pn = mp.pi
         closed = pn ** 2 / 150 + mpf(1) / 400 - 1 / (16 * pn ** 2) + 3 / (32 * pn ** 4)
