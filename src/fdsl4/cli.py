@@ -28,8 +28,8 @@ from .corrections import solution_to_payload
 from .numerics import PrecisionContext, stability_probe
 from .problem import ProblemFormatError, load_problem
 from .spectral import solve
-from .verify import (OracleConvergenceError, galerkin_nearest_eigenvalue,
-                     matching_digits, residual_sweep)
+from .verify import (OracleConvergenceError, _lambda_partials,
+                     galerkin_nearest_eigenvalue, matching_digits, residual_sweep)
 
 DEFAULT_PRINT_DIGITS = 50
 
@@ -128,11 +128,7 @@ def cmd_sweep(args, spec, ctx) -> int:
         sol = solve(spec, n, args.m_max, ctx)
         deltas = residual_sweep(sol, spec, ctx)
         report = convergence_report(spec, n, ctx)
-        lam = sol.lambda0
-        lambdas = [lam]
-        for v in sol.lambda_corrections:
-            lam = lam + v
-            lambdas.append(lam)
+        lambdas = _lambda_partials(sol, ctx)
         for m in range(args.m_max + 1):
             bound = report.lambda_bound(m)
             rows.append([

@@ -4,9 +4,13 @@ Nothing here reuses the recursion that produced a solution.  Three separate
 instruments:
 
 * an L2 residual norm delta_n(m) = || u'''' + q2 u'' + q1 u' + (q0-lam) u ||
-  computed by composite Gauss-Legendre quadrature with a node-doubling
+  computed by composite Gauss-Legendre quadrature with a panel-doubling
   convergence check -- a computable certificate that the assembled
-  approximation nearly solves the differential equation;
+  approximation nearly solves the differential equation.  The panel count
+  follows the phase of the integrand, not its polynomial degree: the squared
+  residual turns through 2*pi*n over [0, X] (its hyperbolic part grows by the
+  same exponent), and splitting [0, X] into more panels never lowers a
+  polynomial's degree (see :func:`default_panels`);
 
 * reference values for the two benchmark problems (exact eigenvalues of the
   first benchmark from its Kummer-function characteristic equation, rank-10
@@ -21,6 +25,7 @@ instruments:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -106,55 +111,85 @@ class QuadratureRule:
             return acc
 
 
+def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
+    """(values, converged) for a list of integrals, doubling P -> 2P panels
+    until every value agrees with the previous pass to DOUBLING_RELTOL.
+
+    ``integrals(panels)`` returns the list at one panel count.  After
+    MAX_DOUBLINGS unsettled doublings a warning names ``what`` and the finest
+    values are kept.
+    """
+    with ctx.workprec():
+        reltol = mpf(DOUBLING_RELTOL)
+        prev = integrals(panels)
+        for _ in range(MAX_DOUBLINGS):
+            panels *= 2
+            cur = integrals(panels)
+            if all(max(abs(c), abs(p)) == 0 or abs(c - p) <= reltol * max(abs(c), abs(p))
+                   for c, p in zip(cur, prev)):
+                return cur, True
+            prev = cur
+        log.warning("%s quadrature did not settle after %d doublings",
+                    what, MAX_DOUBLINGS)
+        return cur, False
+
+
 def integrate_adaptive(f, X, panels: int, ctx: PrecisionContext,
                        nodes_per_panel: int = NODES_PER_PANEL):
     """(integral, converged): doubles panels until two runs agree to 1e-10."""
-    with ctx.workprec():
-        reltol = mpf(DOUBLING_RELTOL)
-        prev = QuadratureRule.build(X, panels, nodes_per_panel, ctx).integrate(f, ctx)
-        for _ in range(MAX_DOUBLINGS):
-            panels *= 2
-            cur = QuadratureRule.build(X, panels, nodes_per_panel, ctx).integrate(f, ctx)
-            scale = max(abs(cur), abs(prev))
-            if scale == 0 or abs(cur - prev) <= reltol * scale:
-                return cur, True
-            prev = cur
-        return cur, False
+    values, converged = _doubled(
+        lambda p: [QuadratureRule.build(X, p, nodes_per_panel, ctx).integrate(f, ctx)],
+        panels, ctx, "adaptive")
+    return values[0], converged
 
 
 # --- residual norms -----------------------------------------------------------
 
-def _lambda_partials(sol: FDSolution):
-    parts = [sol.lambda0]
-    for v in sol.lambda_corrections:
-        parts.append(parts[-1] + v)
-    return parts
+def _lambda_partials(sol: FDSolution, ctx: PrecisionContext):
+    """Rank-k eigenvalues lambda0 + lambda^(1) + ... + lambda^(k), k = 0..m."""
+    with ctx.workprec():
+        parts = [sol.lambda0]
+        for v in sol.lambda_corrections:
+            parts.append(parts[-1] + v)
+        return parts
 
 
-def _phi_pieces(sol: FDSolution, spec: ProblemSpec, x, ctx: PrecisionContext):
+def _term_arrays(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
+    """Coefficient arrays (u, u'''', u'', u') of every term, for one pass.
+
+    Looked up once per quadrature pass rather than once per node.  The u''
+    and u' entries are None where q2 or q1 vanishes identically.
+    """
+    has_q1 = any(c != 0 for c in spec.q1.coeffs)
+    has_q2 = any(c != 0 for c in spec.q2.coeffs)
+    with ctx.workprec():
+        return [((t.a, t.b, t.c, t.d),
+                 _derivative_arrays(t, 4, mp.dps),
+                 _derivative_arrays(t, 2, mp.dps) if has_q2 else None,
+                 _derivative_arrays(t, 1, mp.dps) if has_q1 else None)
+                for t in sol.terms]
+
+
+def _phi_pieces(sol: FDSolution, spec: ProblemSpec, arrays, x, ctx: PrecisionContext):
     """Per-step values (operator part, plain value) at one point.
 
-    The residual of the rank-m truncation is sum of the first column up to m
-    minus the rank-m eigenvalue times the sum of the second column.
-    Derivatives multiplied by identically-zero potentials are skipped.
+    ``arrays`` comes from :func:`_term_arrays`.  The residual of the rank-m
+    truncation is sum of the first column up to m minus the rank-m eigenvalue
+    times the sum of the second column.
     """
     with ctx.workprec():
         basis = basis_values(sol.n, sol.X, x, ctx)
         q0x = poly_eval(spec.q0, x)
-        has_q1 = any(c != 0 for c in spec.q1.coeffs)
-        has_q2 = any(c != 0 for c in spec.q2.coeffs)
-        q1x = poly_eval(spec.q1, x) if has_q1 else mpf(0)
-        q2x = poly_eval(spec.q2, x) if has_q2 else mpf(0)
+        q1x = poly_eval(spec.q1, x)
+        q2x = poly_eval(spec.q2, x)
         ops, vals = [], []
-        for term in sol.terms:
-            arr0 = (term.a, term.b, term.c, term.d)
-            u0 = _eval_arrays(arr0, x, basis)
-            u4 = _eval_arrays(_derivative_arrays(term, 4, mp.dps), x, basis)
-            op = u4 + q0x * u0
-            if has_q2:
-                op += q2x * _eval_arrays(_derivative_arrays(term, 2, mp.dps), x, basis)
-            if has_q1:
-                op += q1x * _eval_arrays(_derivative_arrays(term, 1, mp.dps), x, basis)
+        for u0_arr, u4_arr, u2_arr, u1_arr in arrays:
+            u0 = _eval_arrays(u0_arr, x, basis)
+            op = _eval_arrays(u4_arr, x, basis) + q0x * u0
+            if u2_arr is not None:
+                op += q2x * _eval_arrays(u2_arr, x, basis)
+            if u1_arr is not None:
+                op += q1x * _eval_arrays(u1_arr, x, basis)
             ops.append(op)
             vals.append(u0)
         return ops, vals
@@ -165,10 +200,11 @@ def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
     """Integral of the squared residual for every rank 0..m at one panel count."""
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
-        lam = _lambda_partials(sol)
+        lam = _lambda_partials(sol, ctx)
+        arrays = _term_arrays(sol, spec, ctx)
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):
-            ops, vals = _phi_pieces(sol, spec, x, ctx)
+            ops, vals = _phi_pieces(sol, spec, arrays, x, ctx)
             op_sum = mpf(0)
             val_sum = mpf(0)
             for k in range(sol.m + 1):
@@ -179,9 +215,18 @@ def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
         return acc
 
 
-def default_panels(sol: FDSolution, spec: ProblemSpec) -> int:
-    poly_degree = spec.budget.M(sol.m) + spec.budget.r
-    return max(8, 2 * sol.n, 2 * poly_degree)
+def default_panels(n: int) -> int:
+    """Starting panel count P = max(2, ceil(pi n / 8)) of the residual rule.
+
+    Every term is a polynomial times sin, cos, sinh or cosh of pi n x / X, so
+    the squared residual turns through 2 pi n over [0, X] whatever X is.  P
+    panels keep that turn to at most 16 rad per 20-node panel, and to at most
+    8 rad in the doubled pass whose values are returned.  The polynomial
+    degree 2 (M(m) + r) does not enter: splitting [0, X] does not lower a
+    degree, so sizing by it only multiplies nodes.  The P -> 2P doubling check
+    remains the gate for any integrand this count does not resolve.
+    """
+    return max(2, math.ceil(math.pi * n / 8))
 
 
 def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
@@ -190,23 +235,11 @@ def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
     Runs the panel-doubling convergence check on the squared norms; a rank
     that fails to settle is logged and the finer value kept.
     """
-    panels = default_panels(sol, spec)
+    squares, _ = _doubled(lambda p: _residual_integrals(sol, spec, p, ctx),
+                          default_panels(sol.n), ctx,
+                          f"residual (n={sol.n}, m={sol.m})")
     with ctx.workprec():
-        reltol = mpf(DOUBLING_RELTOL)
-        prev = _residual_integrals(sol, spec, panels, ctx)
-        for _ in range(MAX_DOUBLINGS):
-            panels *= 2
-            cur = _residual_integrals(sol, spec, panels, ctx)
-            ok = all(
-                max(abs(c), abs(p)) == 0 or abs(c - p) <= reltol * max(abs(c), abs(p))
-                for c, p in zip(cur, prev))
-            if ok:
-                break
-            prev = cur
-        else:
-            log.warning("residual quadrature did not settle after %d doublings "
-                        "(n=%d, m=%d)", MAX_DOUBLINGS, sol.n, sol.m)
-        return [mp.sqrt(abs(v)) for v in cur]
+        return [mp.sqrt(abs(v)) for v in squares]
 
 
 def residual_norm(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) -> mpf:

@@ -78,6 +78,12 @@ def test_sweep_csv_roundtrip(capsys, tmp_path):
         for row in rows[1:]:
             for cell, digits in ((row[2], 50), (row[3], 10)):
                 assert mp.nstr(mpf(cell), digits, strip_zeros=False) == cell
+    # the eigenvalue column carries the working precision, as `solve` does
+    code, out, _ = run(capsys, "solve", "--problem", B2, "--n", "1",
+                       "--m", "3", "--digits", "80")
+    assert code == 0
+    assert out.split("lambda=")[1].strip() == rows[4][2]
+    with ctx.workprec():
         # residual column decreases with rank and reproduces the reference
         # table within a factor of two
         deltas = [mpf(row[3]) for row in rows[1:]]

@@ -1,12 +1,15 @@
 """Quadrature, residual norms, fixtures, and the sine-Galerkin oracle."""
 
+import logging
+
 import pytest
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule,
                    compare_to_fixture, galerkin_nearest_eigenvalue,
-                   load_fixtures, residual_norm, residual_sweep, solve)
-from fdsl4.verify import build_galerkin, integrate_adaptive, matching_digits
+                   load_fixtures, residual_norm, residual_sweep, solve, verify)
+from fdsl4.verify import (build_galerkin, default_panels, integrate_adaptive,
+                          matching_digits)
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -40,6 +43,14 @@ def test_adaptive_integration_flags_convergence():
         assert abs(val - want) < mpf(10) ** -60
 
 
+def test_adaptive_integration_warns_when_unsettled(caplog):
+    with caplog.at_level(logging.WARNING, logger="fdsl4.verify"):
+        _, ok = integrate_adaptive(lambda x: mp.sin(200 * x), 2, 1, CTX,
+                                   nodes_per_panel=4)
+    assert not ok
+    assert "did not settle" in caplog.text
+
+
 def test_residual_zero_potentials():
     spec = ProblemSpec.make(1, [0, 0], [0, 0], [0, 0], CTX)
     for m in (0, 3):
@@ -71,6 +82,50 @@ def test_residual_sweep_is_consistent(x_potential):
         assert all(a > b for a, b in zip(sweep, sweep[1:]))
         one = residual_norm(sol, x_potential, CTX)
         assert abs(one - sweep[4]) <= abs(one) * mpf(10) ** -20
+
+
+@pytest.fixture(scope="module")
+def sized_specs(x_potential):
+    return {
+        "benchmark2": x_potential,
+        "benchmark1": ProblemSpec.make(5, ["-0.02", 0, 0, 0, "0.0001"], [0, "-0.04"],
+                                       [0, 0, "-0.02"], CTX),
+        "degree4": ProblemSpec.make("0.5", ["0.31", "-0.22", "0.4", "-0.17", "0.45"],
+                                    ["-0.12", "0.27", "-0.38", "0.09", "-0.3"],
+                                    ["0.25", "-0.41", "0.16", "0.33", "-0.07"], CTX),
+    }
+
+
+def test_default_panels_follow_the_phase():
+    # pi n / 8 panels: at most 16 rad of the 2 pi n turn of phi^2 per panel
+    assert [default_panels(n) for n in (1, 5, 6, 8, 50)] == [2, 2, 3, 4, 20]
+
+
+@pytest.mark.parametrize("name, n, m", [("benchmark2", 1, 4), ("benchmark2", 50, 4),
+                                        ("benchmark1", 1, 6), ("benchmark1", 8, 6),
+                                        ("degree4", 50, 3)])
+def test_sized_rule_settles_on_first_doubling(sized_specs, name, n, m,
+                                              monkeypatch, caplog):
+    spec = sized_specs[name]
+    sol = solve(spec, n, m, CTX)
+    integrals = verify._residual_integrals
+    passes = []
+
+    def counted(sol, spec, panels, ctx):
+        passes.append(panels)
+        return integrals(sol, spec, panels, ctx)
+
+    monkeypatch.setattr(verify, "_residual_integrals", counted)
+    with caplog.at_level(logging.WARNING, logger="fdsl4.verify"):
+        sweep = residual_sweep(sol, spec, CTX)
+    panels = default_panels(n)
+    assert passes == [panels, 2 * panels]
+    assert not caplog.records
+    finer = integrals(sol, spec, 4 * panels, CTX)
+    with CTX.workprec():
+        for delta, square in zip(sweep, finer):
+            want = mp.sqrt(abs(square))
+            assert abs(delta - want) <= want * mpf("1e-15")
 
 
 def test_fixture_tables_complete():
