@@ -25,11 +25,11 @@ from mpmath import mp
 
 from .convergence import convergence_report
 from .corrections import solution_to_payload
-from .numerics import PrecisionContext, stability_probe
+from .numerics import PrecisionContext, matching_digits, stability_probe
 from .problem import ProblemFormatError, load_problem
 from .spectral import solve
 from .verify import (OracleConvergenceError, _lambda_partials,
-                     galerkin_nearest_eigenvalue, matching_digits, residual_sweep)
+                     galerkin_nearest_eigenvalue, residual_sweep)
 
 DEFAULT_PRINT_DIGITS = 50
 

@@ -84,22 +84,6 @@ def majorant(j: int) -> int:
     return comb(2 * j + 2, j + 1) // (j + 2)
 
 
-def correction_envelope(report: ConvergenceReport, j: int) -> mpf:
-    """Bound on |lambda^(j+1)| from the majorant chain (double factorials)."""
-    ctx = report._ctx()
-    with ctx.workprec():
-        w = mp.pi * report.n / report.X
-        front = report.omega * mp.sqrt(2 / report.X) * (w ** 2 + w + 1)
-        # 2 (2j-1)!! / (2j+2)!! via exact integers
-        num = 1
-        for k in range(2 * j - 1, 0, -2):
-            num *= k
-        den = 1
-        for k in range(2 * j + 2, 0, -2):
-            den *= k
-        return front * report.r_n ** j * 2 * mpf(num) / mpf(den)
-
-
 def convergence_report(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> ConvergenceReport:
     with ctx.workprec():
         om = omega(spec, ctx)

@@ -18,7 +18,6 @@ problem with zero potentials is sqrt(2/X) sin(n pi x / X) with eigenvalue
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,13 +222,3 @@ def solution_from_payload(payload: dict) -> FDSolution:
             terms=terms,
             lambda_approx=mpf(payload["lambda_approx"]),
         )
-
-
-def dump_solution(sol: FDSolution, path, ctx: PrecisionContext) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_payload(sol, ctx), fh, indent=1)
-
-
-def load_solution(path) -> FDSolution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return solution_from_payload(json.load(fh))

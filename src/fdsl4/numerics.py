@@ -22,8 +22,6 @@ from mpmath import mp, mpf, workdps
 # context's nominal precision after accumulated rounding.
 GUARD_DIGITS = 10
 
-ELEMENTARY = ("sin", "cos", "sinh", "cosh", "exp", "sqrt")
-
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -51,24 +49,16 @@ class PrecisionContext:
             return mpf(10) ** (-self.digits)
 
 
-def const_pi(ctx: PrecisionContext) -> mpf:
-    """pi, correct to ctx.digits."""
+def matching_digits(value, reference, ctx: PrecisionContext) -> int:
+    """Leading significant digits on which value agrees with the reference."""
     with ctx.workprec():
-        return +mp.pi
-
-
-def elem(name: str, x, ctx: PrecisionContext) -> mpf:
-    """One of sin/cos/sinh/cosh/exp/sqrt evaluated at full precision.
-
-    Raises ValueError for an unknown function name or sqrt of a negative.
-    """
-    if name not in ELEMENTARY:
-        raise ValueError(f"unknown elementary function {name!r}")
-    with ctx.workprec():
-        x = mpf(x)
-        if name == "sqrt" and x < 0:
-            raise ValueError("sqrt of negative argument")
-        return getattr(mp, name)(x)
+        v = mpf(value)
+        ref = mpf(reference)
+        if v == ref:
+            return ctx.digits
+        if ref == 0:
+            return 0
+        return max(0, int(mp.floor(-mp.log10(abs(v - ref) / abs(ref)))))
 
 
 def stability_probe(computation: Callable[[PrecisionContext], mpf],
@@ -85,12 +75,4 @@ def stability_probe(computation: Callable[[PrecisionContext], mpf],
         raise ValueError("ctx_hi must carry more digits than ctx_lo")
     hi = computation(ctx_hi)
     lo = computation(ctx_lo)
-    with ctx_hi.workprec():
-        hi, lo = mpf(hi), mpf(lo)
-        if hi == lo:
-            return ctx_lo.digits
-        if hi == 0 or lo == 0:
-            return 0
-        rel = abs(hi - lo) / max(abs(hi), abs(lo))
-        agreement = int(mp.floor(-mp.log10(rel)))
-    return max(0, min(agreement, ctx_lo.digits))
+    return min(matching_digits(lo, hi, ctx_hi), ctx_lo.digits)

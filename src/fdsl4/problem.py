@@ -152,8 +152,8 @@ class ProblemSpec:
     q2: Polynomial
 
     def __post_init__(self):
-        if not self.X > 0:
-            raise ValueError("interval length X must be positive")
+        if not 0 < self.X < mp.inf:
+            raise ValueError("interval length X must be positive and finite")
         for name in ("q0", "q1", "q2"):
             if getattr(self, name).degree < 1:
                 raise ValueError(f"{name} must be stored with degree >= 1 "
@@ -191,8 +191,24 @@ def omega(spec: ProblemSpec, ctx: PrecisionContext) -> mpf:
         return max(sup_norm(d1, spec.X, ctx), sup_norm(d2, spec.X, ctx))
 
 
+def _finite(text: str, what: str, lineno: int, ctx: PrecisionContext) -> mpf:
+    """A finite number parsed at full precision, else a ProblemFormatError."""
+    try:
+        value = ctx.mpf(text)
+    except ValueError:
+        value = mp.nan
+    if not mp.isfinite(value):
+        raise ProblemFormatError(f"bad number {text!r} for {what}; "
+                                 "expected a finite decimal", lineno)
+    return value
+
+
 def parse_problem(text: str, ctx: PrecisionContext) -> ProblemSpec:
-    """Parse the key-value config format documented in the module docstring."""
+    """Parse the key-value config format documented in the module docstring.
+
+    Every error is a ProblemFormatError; one that ProblemSpec raises (a
+    non-positive X) names the X line.
+    """
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,25 +220,23 @@ def parse_problem(text: str, ctx: PrecisionContext) -> ProblemSpec:
         key = key.strip().lower()
         value = value.strip()
         if key == "x":
-            try:
-                fields["X"] = ctx.mpf(value)
-            except ValueError:
-                raise ProblemFormatError(f"bad number {value!r} for X", lineno) from None
+            fields["X"] = _finite(value, "X", lineno, ctx)
+            x_line = lineno
         elif key in ("q0", "q1", "q2"):
             if not (value.startswith("[") and value.endswith("]")):
                 raise ProblemFormatError(f"{key} must be a [..] coefficient list", lineno)
             body = value[1:-1].strip()
             items = [s.strip() for s in body.split(",")] if body else []
-            try:
-                fields[key] = [ctx.mpf(s) for s in items]
-            except ValueError:
-                raise ProblemFormatError(f"bad coefficient in {key}", lineno) from None
+            fields[key] = [_finite(s, f"a {key} coefficient", lineno, ctx) for s in items]
         else:
             raise ProblemFormatError(f"unknown key {key!r}", lineno)
     for required in ("X", "q0", "q1", "q2"):
         if required not in fields:
             raise ProblemFormatError(f"missing key {required!r}")
-    return ProblemSpec.make(fields["X"], fields["q0"], fields["q1"], fields["q2"], ctx)
+    try:
+        return ProblemSpec.make(fields["X"], fields["q0"], fields["q1"], fields["q2"], ctx)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), x_line) from None
 
 
 def load_problem(path, ctx: PrecisionContext) -> ProblemSpec:

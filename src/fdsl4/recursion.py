@@ -9,9 +9,10 @@ recurrence
     Z(p+3) = D11(p) Z(p+2) + D12(p) Z(p+1) + D13(p) Z(p) + F(p+3)
 
 with 2x2 matrix weights built from falling products of the power indices and
-powers of X/(pi n).  The three top pairs (power indices M, M-1, M-2) come in
-closed form from the highest-power equations, the recurrence then walks down
-to power 1, and power 0 is closed from the boundary conditions plus
+powers of X/(pi n).  The pairs above power M are zero, so one walk seeded with
+three zero pairs starts at p = -3, where its first rows are the highest-power
+equations, and runs down to power 1.  Power 0 spans the kernel of
+u'''' - lambda0 u; it is closed from the boundary conditions plus
 orthogonality against the base eigenfunction.
 
 Families are labelled "trig" (sin/cos pairs, budget M(j+1)) and "hyp"
@@ -20,7 +21,6 @@ Families are labelled "trig" (sin/cos pairs, budget M(j+1)) and "hyp"
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING
 
 from mpmath import mp, mpf
@@ -31,8 +31,6 @@ from .rhs import RhsCoefficients
 
 if TYPE_CHECKING:  # avoid an import cycle with the orchestration module
     from .spectral import MomentTable
-
-log = logging.getLogger(__name__)
 
 TRIG = "trig"
 HYP = "hyp"
@@ -56,53 +54,6 @@ def _family_rhs(rhs: RhsCoefficients, family: str):
 
 def _get(arr, i):
     return arr[i] if 0 <= i < len(arr) else mpf(0)
-
-
-def top_initial_coeffs(spec: ProblemSpec, family: str, rhs: RhsCoefficients,
-                       n: int, j: int, ctx: PrecisionContext):
-    """Closed-form pairs at the three highest power indices M, M-1, M-2.
-
-    Returns {index: (first, second)} or None when the family is absent
-    (hyperbolic budget below 2, i.e. step 1).  With budget exactly 2 the
-    s=2 row lands on power 0; it is kept provisionally and later replaced
-    by the closure values.
-
-    The k-th summand of row s couples to the driving array at index
-    M-s-1+k; out-of-range indices contribute nothing.  The trig family
-    alternates signs in quarter period ((-1)^(floor(k/2)+1) against the
-    cos-driven array, (-1)^(floor((k+1)/2)) against the sin-driven one);
-    for the hyperbolic family the cascade through the all-plus-sign
-    equations yields the plain alternation (-1)^k on both components.
-    """
-    M = family_budget(spec, family, j)
-    if M < 2:
-        return None
-    f1, f2 = _family_rhs(rhs, family)  # sin-like, cos-like
-    with ctx.workprec():
-        iw = spec.X / (mp.pi * n)
-        out = {}
-        for s in (0, 1, 2):
-            delta = 1 if s == 2 else 0
-            first = mpf(0)
-            second = mpf(0)
-            for k in range(s + 1):
-                anchor = M - s + (k + delta) // 2
-                if anchor == 0:
-                    continue  # only M=2, s=2, k=0, where the source index is empty
-                mag = (2 * k + 1) * mpf(M - 1) ** k / (2 ** (2 + k) * anchor) \
-                    * iw ** (3 + k)
-                f_even, f_odd = (f2, f1)  # chi(k): even -> cos-like, odd -> sin-like
-                fk = f_even if k % 2 == 0 else f_odd
-                fk1 = f_even if (k + 1) % 2 == 0 else f_odd
-                if family == TRIG:
-                    sgn_first = mpf(-1) ** (k // 2 + 1)
-                    sgn_second = mpf(-1) ** ((k + 1) // 2)
-                else:
-                    sgn_first = sgn_second = mpf(-1) ** k
-                first += sgn_first * _get(fk, M - s - 1 + k) * mag
-                second += sgn_second * _get(fk1, M - s - 1 + k) * mag
-            out[M - s] = (first, second)
-        return out
 
 
 def transfer_matrices(spec: ProblemSpec, family: str, n: int, j: int, p: int,
@@ -145,28 +96,24 @@ def _matvec(mat, vec):
 
 
 def run_recurrence(spec: ProblemSpec, family: str, rhs: RhsCoefficients,
-                   n: int, j: int, top3: dict, ctx: PrecisionContext) -> dict:
-    """Walk the recurrence down from the top pairs to power index 1.
+                   n: int, j: int, ctx: PrecisionContext) -> dict:
+    """Walk the recurrence from zero pairs above power M down to power 1.
 
-    Returns {power index: (first, second)} covering M .. 1 (plus a
-    provisional index 0 when the budget is 2).  The range is empty for
-    budgets below 4, in which case top3 is returned unchanged.
+    Returns {power index: (first, second)} for M .. 1, empty when M < 1.
+    The rows p = -3, -2, -1 are the three highest-power equations.
     """
     M = family_budget(spec, family, j)
-    coeffs = dict(top3)
     with ctx.workprec():
-        for p in range(M - 3):
+        coeffs = dict.fromkeys((M + 1, M + 2, M + 3), (mpf(0), mpf(0)))
+        for p in range(-3, M - 3):
             d11, d12, d13 = transfer_matrices(spec, family, n, j, p, ctx)
             fvec = driving_vector(spec, family, rhs, n, j, p, ctx)
-            z2 = coeffs[M - p - 2]
-            z1 = coeffs[M - p - 1]
-            z0 = coeffs[M - p]
-            v1 = _matvec(d11, z2)
-            v2 = _matvec(d12, z1)
-            v3 = _matvec(d13, z0)
+            v1 = _matvec(d11, coeffs[M - p - 2])
+            v2 = _matvec(d12, coeffs[M - p - 1])
+            v3 = _matvec(d13, coeffs[M - p])
             coeffs[M - p - 3] = (v1[0] + v2[0] + v3[0] + fvec[0],
                                  v1[1] + v2[1] + v3[1] + fvec[1])
-    return coeffs
+    return {t: coeffs[t] for t in range(M, 0, -1)}
 
 
 def closure_index0(spec: ProblemSpec, n: int, j: int, trig_coeffs: dict,
@@ -221,36 +168,13 @@ def solve_step(spec: ProblemSpec, n: int, j: int, rhs: RhsCoefficients,
                moments: "MomentTable", ctx: PrecisionContext):
     """All four coefficient arrays of the step-(j+1) correction.
 
-    Returns (a, b, c, d) as tuples with trig length M(j+1)+1 and hyperbolic
-    length M(j)+1.  When an initial-condition row lands on power 0 (budget
-    exactly 2) the closure values win; the discrepancy against the provisional
-    row is logged for diagnosis.
+    One walk per family, seeded with zero pairs above its top power, gives
+    powers M .. 1 and the closure gives power 0.  Returns (a, b, c, d) as
+    tuples with trig length M(j+1)+1 and hyperbolic length M(j)+1.
     """
-    M1 = spec.budget.M(j + 1)
-    M0 = spec.budget.M(j)
-    trig_top = top_initial_coeffs(spec, TRIG, rhs, n, j, ctx)
-    trig_coeffs = run_recurrence(spec, TRIG, rhs, n, j, trig_top, ctx)
-    hyp_top = top_initial_coeffs(spec, HYP, rhs, n, j, ctx)
-    hyp_coeffs = run_recurrence(spec, HYP, rhs, n, j, hyp_top, ctx) \
-        if hyp_top is not None else {}
-    a0, b0, c0, d0 = closure_index0(spec, n, j, trig_coeffs, hyp_coeffs,
-                                    moments, ctx)
-    for label, coeffs, closed in (("trig", trig_coeffs, (a0, b0)),
-                                  ("hyp", hyp_coeffs, (c0, d0))):
-        if 0 in coeffs:
-            with ctx.workprec():
-                gap = max(abs(coeffs[0][0] - closed[0]),
-                          abs(coeffs[0][1] - closed[1]))
-            log.debug("step %d %s family: closure replaced provisional power-0 "
-                      "pair, |difference| = %s", j + 1, label, mp.nstr(gap, 5))
-    with ctx.workprec():
-        a = [mpf(0)] * (M1 + 1)
-        b = [mpf(0)] * (M1 + 1)
-        c = [mpf(0)] * (M0 + 1)
-        d = [mpf(0)] * (M0 + 1)
-        for t in range(1, M1 + 1):
-            a[t], b[t] = trig_coeffs[t]
-        for t in range(1, M0 + 1):
-            c[t], d[t] = hyp_coeffs[t]
-        a[0], b[0], c[0], d[0] = a0, b0, c0, d0
-    return tuple(a), tuple(b), tuple(c), tuple(d)
+    trig = run_recurrence(spec, TRIG, rhs, n, j, ctx)
+    hyp = run_recurrence(spec, HYP, rhs, n, j, ctx)
+    a0, b0, c0, d0 = closure_index0(spec, n, j, trig, hyp, moments, ctx)
+    a, b = zip((a0, b0), *(trig[t] for t in range(1, len(trig) + 1)))
+    c, d = zip((c0, d0), *(hyp[t] for t in range(1, len(hyp) + 1)))
+    return a, b, c, d

@@ -113,7 +113,7 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     """Rank-m approximation to eigenpair n.
 
     Stages per step j = 0..m-1: right-hand side F, eigenvalue correction as
-    its projection, closed-form top coefficients, downward recurrence,
+    its projection, downward recurrence from zero pairs above the top,
     power-0 closure, term assembly.  Steps are inherently sequential;
     different n are independent.
     """

@@ -33,7 +33,7 @@ from importlib import resources
 from mpmath import mp, mpf
 
 from .corrections import FDSolution, _derivative_arrays, _eval_arrays, basis_values
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, matching_digits
 from .problem import ProblemSpec, poly_eval
 
 log = logging.getLogger(__name__)
@@ -132,15 +132,6 @@ def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
         log.warning("%s quadrature did not settle after %d doublings",
                     what, MAX_DOUBLINGS)
         return cur, False
-
-
-def integrate_adaptive(f, X, panels: int, ctx: PrecisionContext,
-                       nodes_per_panel: int = NODES_PER_PANEL):
-    """(integral, converged): doubles panels until two runs agree to 1e-10."""
-    values, converged = _doubled(
-        lambda p: [QuadratureRule.build(X, p, nodes_per_panel, ctx).integrate(f, ctx)],
-        panels, ctx, "adaptive")
-    return values[0], converged
 
 
 # --- residual norms -----------------------------------------------------------
@@ -284,21 +275,6 @@ def load_fixtures() -> FixtureSet:
             raise ValueError(f"unexpected data line outside a known section: {raw!r}")
     return FixtureSet(b1_exact=b1_exact, b1_fd_error=b1_err,
                       b2_rank10=b2_lam, b2_residual=b2_res)
-
-
-def matching_digits(value, reference: str, ctx: PrecisionContext) -> int:
-    """Leading significant digits on which value agrees with the reference."""
-    with ctx.workprec():
-        v = mpf(value)
-        ref = mpf(reference)
-        if v == ref:
-            return ctx.digits
-        if ref == 0:
-            return 0
-        rel = abs(v - ref) / abs(ref)
-        if rel == 0:
-            return ctx.digits
-        return max(0, int(mp.floor(-mp.log10(rel))))
 
 
 def compare_to_fixture(sol: FDSolution, fixtures: FixtureSet,

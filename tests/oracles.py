@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths they check: naive
 summation instead of Horner, the literal multi-index product expansion of the
 coefficient recurrence instead of the forward iteration, and the scalar
-power-matching relations instead of the vectorized walk, and a closed-form
-eigenvalue correction instead of the moment-table projection.
+power-matching relations instead of the vectorized walk, a closed-form
+eigenvalue correction instead of the moment-table projection, and the
+majorant-chain envelope of the eigenvalue corrections.
 """
 
 import itertools
@@ -35,20 +36,21 @@ def _matvec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def product_expansion_pair(spec, family, rhs, n, j, p, top3, ctx):
+def product_expansion_pair(spec, family, rhs, n, j, p, walked, ctx):
     """Pair at power index M-p-3 by the explicit product-sum expansion.
 
-    Enumerate every path of block-matrix indices: the homogeneous part sums
-    chains of length p+1 applied to one of the three seed pairs, the
-    inhomogeneous part sums shorter chains applied to the driving vectors.
-    Exponential in p; intended for small p only.
+    The seeds are the pairs at powers M, M-1, M-2 of ``walked``, the dict
+    that ``run_recurrence`` returns.  Enumerate every path of block-matrix
+    indices: the homogeneous part sums chains of length p+1 applied to one of
+    the three seed pairs, the inhomogeneous part sums shorter chains applied
+    to the driving vectors.  Exponential in p; intended for small p only.
     """
     M = family_budget(spec, family, j)
     with ctx.workprec():
         total = (mpf(0), mpf(0))
         # chains against the seed pairs; l_{p+1} = 1 fixed
         for ls in itertools.product((1, 2, 3), repeat=p + 1):  # l_0 .. l_p
-            seed = top3[M - (3 - ls[0])]
+            seed = walked[M - (3 - ls[0])]
             vec = seed
             dead = False
             chain = ls + (1,)
@@ -80,38 +82,41 @@ def product_expansion_pair(spec, family, rhs, n, j, p, top3, ctx):
         return (total[0] + last[0], total[1] + last[1])
 
 
+def _at(arr, i):
+    return arr[i] if i < len(arr) else mpf(0)
+
+
 def power_matching_mismatch(spec, term, rhs, ctx):
     """Max |lhs - rhs| of the scalar power-matching relations for a term.
 
     Substituting the term into u'''' - lambda0 u and collecting x^t against
-    each basis function must reproduce the rhs coefficient arrays for
-    t = 0 .. (budget - 4).  Checks all four families.
+    each basis function must reproduce the rhs coefficient arrays for every
+    equation t = 0 .. (budget - 1), the top three included, with the
+    coefficients above the budget read as zero.  Checks all four families.
     """
     n, X = term.n, term.X
     with ctx.workprec():
         w = mp.pi * n / X
         worst = mpf(0)
-        a, b, c, d = term.a, term.b, term.c, term.d
-        M1 = len(a) - 1
-        for t in range(M1 - 3):
+        a, b, c, d = (arr + (mpf(0),) * 4 for arr in (term.a, term.b, term.c, term.d))
+        for t in range(max(len(term.a) - 1, len(rhs.f_cos), len(rhs.f_sin))):
             lhs_cos = ((((t + 4) * b[t + 4] + 4 * w * a[t + 3]) * (t + 3)
                         - 6 * w ** 2 * b[t + 2]) * (t + 2)
                        - 4 * w ** 3 * a[t + 1]) * (t + 1)
             lhs_sin = ((((t + 4) * a[t + 4] - 4 * w * b[t + 3]) * (t + 3)
                         - 6 * w ** 2 * a[t + 2]) * (t + 2)
                        + 4 * w ** 3 * b[t + 1]) * (t + 1)
-            worst = max(worst, abs(lhs_cos - rhs.f_cos[t]),
-                        abs(lhs_sin - rhs.f_sin[t]))
-        M0 = len(c) - 1
-        for t in range(M0 - 3):
+            worst = max(worst, abs(lhs_cos - _at(rhs.f_cos, t)),
+                        abs(lhs_sin - _at(rhs.f_sin, t)))
+        for t in range(max(len(term.c) - 1, len(rhs.f_cosh), len(rhs.f_sinh))):
             lhs_cosh = ((((t + 4) * d[t + 4] + 4 * w * c[t + 3]) * (t + 3)
                          + 6 * w ** 2 * d[t + 2]) * (t + 2)
                         + 4 * w ** 3 * c[t + 1]) * (t + 1)
             lhs_sinh = ((((t + 4) * c[t + 4] + 4 * w * d[t + 3]) * (t + 3)
                          + 6 * w ** 2 * c[t + 2]) * (t + 2)
                         + 4 * w ** 3 * d[t + 1]) * (t + 1)
-            worst = max(worst, abs(lhs_cosh - rhs.f_cosh[t]),
-                        abs(lhs_sinh - rhs.f_sinh[t]))
+            worst = max(worst, abs(lhs_cosh - _at(rhs.f_cosh, t)),
+                        abs(lhs_sinh - _at(rhs.f_sinh, t)))
         return worst
 
 
@@ -140,3 +145,19 @@ def x_potential_second_correction(n, ctx):
         pn = mp.pi * n
         return (1 / (32 * pn ** 4) - 5 / (32 * pn ** 6)
                 + (mp.cos(pn) - mp.cosh(pn)) / (2 * pn ** 7 * mp.sinh(pn)))
+
+
+def correction_envelope(report, j):
+    """Bound on |lambda^(j+1)| from the majorant chain (double factorials)."""
+    ctx = report._ctx()
+    with ctx.workprec():
+        w = mp.pi * report.n / report.X
+        front = report.omega * mp.sqrt(2 / report.X) * (w ** 2 + w + 1)
+        # 2 (2j-1)!! / (2j+2)!! via exact integers
+        num = 1
+        for k in range(2 * j - 1, 0, -2):
+            num *= k
+        den = 1
+        for k in range(2 * j + 2, 0, -2):
+            den *= k
+        return front * report.r_n ** j * 2 * mpf(num) / mpf(den)

@@ -14,13 +14,13 @@ from fdsl4 import (PrecisionContext, assemble, eval_term,
                    galerkin_nearest_eigenvalue, load_fixtures, moments,
                    residual_sweep, solve)
 from fdsl4.convergence import constant_Mn, convergence_report, majorant
-from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence, top_initial_coeffs
+from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence
 from fdsl4.rhs import eval_rhs
 from fdsl4.spectral import lambda_correction
 
 from .conftest import B2_INDICES, step_rhs
-from .oracles import (least_squares_slope, product_expansion_pair,
-                      x_potential_second_correction)
+from .oracles import (least_squares_slope, power_matching_mismatch,
+                      product_expansion_pair, x_potential_second_correction)
 
 ORACLE_CTX = PrecisionContext(digits=50)
 
@@ -180,6 +180,7 @@ def _property_defects(spec, n, m, ctx):
         ortho = mpf(0)
         solv = mpf(0)
         ode = mpf(0)
+        powers = mpf(0)
         for j, term in enumerate(sol.terms[1:], start=1):
             for x in (mpf(0), spec.X):
                 bc = max(bc, abs(eval_term(term, x, 0, ctx=ctx)),
@@ -194,13 +195,14 @@ def _property_defects(spec, n, m, ctx):
             step = step_rhs(spec, sol, j, ctx)
             solv = max(solv, abs(lambda_correction(step, table, ctx)))
             term = sol.terms[j + 1]
+            powers = max(powers, power_matching_mismatch(spec, term, step, ctx))
             for _ in range(100):
                 x = spec.X * mpf(rng.random())
                 lhs = eval_term(term, x, 4, ctx=ctx) \
                     - sol.lambda0 * eval_term(term, x, ctx=ctx)
                 ode = max(ode, abs(lhs - eval_rhs(step, spec, x, ctx)))
         return {"boundary": bc, "orthogonality": ortho,
-                "solvability": solv, "ode_residual": ode}
+                "solvability": solv, "ode_residual": ode, "power_matching": powers}
 
 
 def _recurrence_vs_product(spec, n, ctx):
@@ -211,14 +213,11 @@ def _recurrence_vs_product(spec, n, ctx):
         for j in (0, 1):
             step = step_rhs(spec, sol, j, ctx)
             for family in (TRIG, HYP):
-                top = top_initial_coeffs(spec, family, step, n, j, ctx)
-                if top is None:
-                    continue
                 M = family_budget(spec, family, j)
-                walked = run_recurrence(spec, family, step, n, j, top, ctx)
+                walked = run_recurrence(spec, family, step, n, j, ctx)
                 for p in range(min(M - 3, 5)):
                     want = walked[M - p - 3]
-                    got = product_expansion_pair(spec, family, step, n, j, p, top, ctx)
+                    got = product_expansion_pair(spec, family, step, n, j, p, walked, ctx)
                     scale = max(mpf(1), abs(want[0]), abs(want[1]))
                     worst = max(worst, abs(got[0] - want[0]) / scale,
                                 abs(got[1] - want[1]) / scale)
@@ -256,7 +255,8 @@ def test_criterion_5_property_suite(benchmark1, benchmark2, random_problems,
     with ctx300.workprec():
         tol = mpf(10) ** -(ctx300.digits - 25)
         worst = {"boundary": mpf(0), "orthogonality": mpf(0),
-                 "solvability": mpf(0), "ode_residual": mpf(0)}
+                 "solvability": mpf(0), "ode_residual": mpf(0),
+                 "power_matching": mpf(0)}
         cases = [(benchmark1, 1, 3), (benchmark1, 3, 3),
                  (benchmark2, 1, 4), (benchmark2, 4, 4)]
         cases += [(spec, 1 + i % 4, 3) for i, spec in enumerate(random_problems)]
@@ -279,7 +279,9 @@ def test_criterion_5_property_suite(benchmark1, benchmark2, random_problems,
         detail = (f"max defects: boundary {mp.nstr(worst['boundary'], 3)}, "
                   f"orthogonality {mp.nstr(worst['orthogonality'], 3)}, "
                   f"solvability {mp.nstr(worst['solvability'], 3)}, "
-                  f"ode {mp.nstr(worst['ode_residual'], 3)} (tol {mp.nstr(tol, 2)}); "
+                  f"ode {mp.nstr(worst['ode_residual'], 3)}, "
+                  f"power matching {mp.nstr(worst['power_matching'], 3)} "
+                  f"(tol {mp.nstr(tol, 2)}); "
                   f"recurrence-vs-product {mp.nstr(prod_gap, 3)}; "
                   f"moments-vs-quadrature {mp.nstr(quad_gap, 3)} (tol 1e-40)")
     _report(5, "property suite", ok, detail)

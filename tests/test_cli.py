@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import pytest
 from mpmath import mp, mpf
 
 from fdsl4.cli import main
@@ -172,6 +173,19 @@ def test_bad_config_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--problem", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("x_line,q0_line", [
+    ("X = -1", "q0 = [0, 1]"), ("X = nan", "q0 = [0, 1]"),
+    ("X = inf", "q0 = [0, 1]"), ("X = 1", "q0 = [0, inf]"),
+])
+def test_bad_config_value_exits_2(capsys, tmp_path, x_line, q0_line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{x_line}\n{q0_line}\nq1 = [0]\nq2 = [0]\n")
+    code, out, err = run(capsys, "check", "--problem", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bad_digits(capsys):

@@ -107,7 +107,8 @@ def test_correction_envelope_dominates(benchmark1, benchmark2, ctx120):
 
     from fdsl4 import solve
     from fdsl4.problem import sup_norm
-    from fdsl4.convergence import correction_envelope
+
+    from .oracles import correction_envelope
 
     for spec, n, patch in ((benchmark2, 2, False), (benchmark2, 5, False),
                            (benchmark1, 3, True), (benchmark1, 8, True)):

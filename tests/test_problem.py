@@ -143,6 +143,11 @@ def test_parse_problem_roundtrip():
     ("X = abc\nq0 = [0,1]\nq1 = [0]\nq2 = [0]", 1),
     ("X = 1\nq0 = [0,zz]\nq1 = [0]\nq2 = [0]", 2),
     ("X = 1\nwhat = 3\nq0 = [0,1]\nq1 = [0]\nq2 = [0]", 2),
+    ("X = inf\nq0 = [0,1]\nq1 = [0]\nq2 = [0]", 1),
+    ("X = nan\nq0 = [0,1]\nq1 = [0]\nq2 = [0]", 1),
+    ("q0 = [0,1]\nX = -1\nq1 = [0]\nq2 = [0]", 2),
+    ("X = 1\nq0 = [0, inf]\nq1 = [0]\nq2 = [0]", 2),
+    ("X = 1\nq0 = [0,1]\nq1 = [0]\nq2 = [-inf, 0]", 4),
 ])
 def test_parse_problem_errors_carry_line(text, line):
     with pytest.raises(ProblemFormatError) as err:
@@ -158,3 +163,5 @@ def test_parse_problem_missing_key():
 def test_interval_must_be_positive():
     with pytest.raises(ValueError):
         ProblemSpec.make(0, [0, 1], [0], [0], CTX)
+    with pytest.raises(ValueError):
+        ProblemSpec.make("inf", [0, 1], [0], [0], CTX)

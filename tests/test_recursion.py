@@ -7,8 +7,7 @@ from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, base_pair, eval_term,
                    lambda_correction, moments, solve)
-from fdsl4.recursion import (HYP, TRIG, family_budget, run_recurrence,
-                             top_initial_coeffs)
+from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence
 from fdsl4.rhs import RhsCoefficients, add_base_term, build_rhs, eval_rhs
 
 from .conftest import step_rhs
@@ -31,11 +30,12 @@ def _first_step_rhs(spec, n):
 
 
 def test_x_potential_top_coeffs(x_potential):
-    # printed first-step values: the trig budget is 2, so the three rows
-    # produce powers 2, 1, 0 (the last is provisional)
+    # printed first-step values: the trig budget is 2, so the walk's rows
+    # give powers 2 and 1 (power 0 is the closure's)
     n = 3
     rhs, _ = _first_step_rhs(x_potential, n)
-    top = top_initial_coeffs(x_potential, TRIG, rhs, n, 0, CTX)
+    top = run_recurrence(x_potential, TRIG, rhs, n, 0, CTX)
+    assert sorted(top) == [1, 2]
     with CTX.workprec():
         pn = mp.pi * n
         s2 = mp.sqrt(2)
@@ -51,28 +51,20 @@ def test_x_potential_top_coeffs(x_potential):
 def test_zero_rhs_gives_zero_rows(x_potential):
     zero = RhsCoefficients(n=1, j=0, f_cos=(mpf(0),) * 2, f_sin=(mpf(0),) * 2,
                            f_cosh=(), f_sinh=())
-    top = top_initial_coeffs(x_potential, TRIG, zero, 1, 0, CTX)
+    top = run_recurrence(x_potential, TRIG, zero, 1, 0, CTX)
     assert all(v == 0 for pair in top.values() for v in pair)
 
 
 def test_hyp_family_skipped_at_step_one(x_potential):
     rhs, _ = _first_step_rhs(x_potential, 1)
-    assert top_initial_coeffs(x_potential, HYP, rhs, 1, 0, CTX) is None
-
-
-def test_empty_recurrence_returns_top(x_potential):
-    # trig budget 2 at the first step: no interior walk
-    rhs, _ = _first_step_rhs(x_potential, 1)
-    top = top_initial_coeffs(x_potential, TRIG, rhs, 1, 0, CTX)
-    assert run_recurrence(x_potential, TRIG, rhs, 1, 0, top, CTX) == top
+    assert run_recurrence(x_potential, HYP, rhs, 1, 0, CTX) == {}
 
 
 def test_benchmark1_step1_full_arrays(benchmark1):
-    # budget 5: rows give powers 5, 4, 3; the walk gives 2 and 1
+    # budget 5: the highest-power rows give powers 5, 4, 3, the walk 2 and 1
     n = 1
     rhs, table = _first_step_rhs(benchmark1, n)
-    top = top_initial_coeffs(benchmark1, TRIG, rhs, n, 0, CTX)
-    coeffs = run_recurrence(benchmark1, TRIG, rhs, n, 0, top, CTX)
+    coeffs = run_recurrence(benchmark1, TRIG, rhs, n, 0, CTX)
     with CTX.workprec():
         pn = mp.pi * n
         s10 = mp.sqrt(mpf(10))
@@ -136,15 +128,12 @@ def test_iteration_matches_product_expansion(benchmark1):
         for j in (0, 1):
             rhs = step_rhs(benchmark1, sol, j, CTX)
             for family in (TRIG, HYP):
-                top = top_initial_coeffs(benchmark1, family, rhs, n, j, CTX)
-                if top is None:
-                    continue
                 M = family_budget(benchmark1, family, j)
-                walked = run_recurrence(benchmark1, family, rhs, n, j, top, CTX)
+                walked = run_recurrence(benchmark1, family, rhs, n, j, CTX)
                 for p in range(min(M - 3, 5)):
                     want = walked[M - p - 3]
                     got = product_expansion_pair(benchmark1, family, rhs, n, j,
-                                                 p, top, CTX)
+                                                 p, walked, CTX)
                     scale = max(mpf(1), abs(want[0]), abs(want[1]))
                     assert abs(got[0] - want[0]) < tol * scale
                     assert abs(got[1] - want[1]) < tol * scale

@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule,
                    compare_to_fixture, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
-from fdsl4.verify import (build_galerkin, default_panels, integrate_adaptive,
-                          matching_digits)
+from fdsl4.numerics import matching_digits
+from fdsl4.verify import _doubled, build_galerkin, default_panels
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -35,9 +35,15 @@ def test_rule_weights_sum_to_length():
         assert abs(sum(rule.weights) - mpf("2.5")) < mpf(10) ** -110
 
 
+def _rule_integral(f, X, nodes_per_panel):
+    """The doubling loop's argument: panels -> [integral of f over [0, X]]."""
+    return lambda p: [QuadratureRule.build(X, p, nodes_per_panel, CTX).integrate(f, CTX)]
+
+
 def test_adaptive_integration_flags_convergence():
     with CTX.workprec():
-        val, ok = integrate_adaptive(lambda x: mp.sin(3 * x), 2, 8, CTX)
+        (val,), ok = _doubled(_rule_integral(lambda x: mp.sin(3 * x), 2, 20),
+                              8, CTX, "test")
         assert ok
         want = (1 - mp.cos(6)) / 3
         assert abs(val - want) < mpf(10) ** -60
@@ -45,8 +51,8 @@ def test_adaptive_integration_flags_convergence():
 
 def test_adaptive_integration_warns_when_unsettled(caplog):
     with caplog.at_level(logging.WARNING, logger="fdsl4.verify"):
-        _, ok = integrate_adaptive(lambda x: mp.sin(200 * x), 2, 1, CTX,
-                                   nodes_per_panel=4)
+        _, ok = _doubled(_rule_integral(lambda x: mp.sin(200 * x), 2, 4),
+                         1, CTX, "test")
     assert not ok
     assert "did not settle" in caplog.text
 
