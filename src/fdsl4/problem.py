@@ -55,6 +55,8 @@ class Polynomial:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
+        if not all(mp.isfinite(c) for c in self.coeffs):
+            raise ValueError("polynomial coefficients must be finite")
 
     @classmethod
     def from_values(cls, values: Sequence, ctx: PrecisionContext) -> "Polynomial":

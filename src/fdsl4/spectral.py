@@ -2,10 +2,11 @@
 
 The closure and the eigenvalue corrections need the integrals over [0, X] of
 x^t against sin^2(w x), sin(w x) cos(w x), sin(w x) cosh(w x) and
-sin(w x) sinh(w x) with w = pi n / X.  All four have closed forms built from
-factorials, powers of 2 pi n (or sqrt(2) pi n) and exact quarter/eighth-period
-trigonometric values, so a :class:`MomentTable` is filled once per (n, rank)
-and shared read-only by every step.
+sin(w x) sinh(w x) with w = pi n / X: real or imaginary parts of the
+exponential moments J_t(z) = int x^t e^(z x) dx, z in {2iw, (1+i)w, (-1+i)w}.
+Integration by parts links J_t to J_(t-1); run in its stable direction on
+each side of t = |z X| it fills a :class:`MomentTable` in O(T) operations
+that stay accurate as T grows, once per (n, rank), shared by every step.
 
 One step of the method is the three-part FD step: apply the potential part
 of the operator to the newest correction in the mixed basis
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from . import recursion
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair
@@ -40,54 +41,53 @@ class MomentTable:
     mu: tuple     # integral of x^t sin(w x) sinh(w x)
 
 
-# exact values of sin(pi k/2), cos(pi k/2) and sin/cos(pi (k+1)/4) by residue
-_SIN_HALF = (0, 1, 0, -1)
-_COS_HALF = (1, 0, -1, 0)
+def _exp_moments(Z, E, T: int) -> list:
+    """K_t = integral over [0, 1] of s^t e^(Z s) ds for t = 0..T, given E = e^Z.
+
+    K_t = (E - t K_(t-1)) / Z multiplies rounding by t/|Z|, so it runs
+    forward up to t = turn = floor(|Z|) and backward, K_(t-1) = (E - Z K_t)/t,
+    above that, from K_T summed by Kummer's transformation (DLMF 13.2.39).
+    """
+    turn = int(mp.hypot(Z.real, Z.imag))
+    inv_z = 1 / Z
+    K = [(E - 1) * inv_z]
+    for t in range(1, min(T, turn) + 1):
+        K.append((E - t * K[-1]) * inv_z)
+    if T > turn:
+        term = total = mpc(1)
+        tiny = mp.ldexp(1, -(mp.prec + 10))
+        i = T + 1
+        while abs(term.real) + abs(term.imag) >= tiny:
+            i += 1
+            term *= -Z / i
+            total += term
+        top = [E * total / (T + 1)]
+        for t in range(T, turn + 1, -1):
+            top.append((E - Z * top[-1]) / t)
+        K += reversed(top)
+    return K
 
 
 def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
-    """Fill the moment table for powers 0..T."""
+    """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t)."""
     if n < 1:
         raise ValueError("eigenpair index must be >= 1")
+    if T < 0:
+        raise ValueError("highest power T must be >= 0")
     with ctx.workprec():
         X = mpf(X)
         pn = mp.pi * n
-        two_pn = 2 * pn
-        s2pn = mp.sqrt(2) * pn
-        cos_pn = mpf(-1) ** n
-        ch, sh = mp.cosh(pn), mp.sinh(pn)
-        half = mp.sqrt(2) / 2
-        cos_q = (half, 0, -half, -1, -half, 0, half, 1)   # cos(pi (k+1)/4)
-        sin_q = (half, 1, half, 0, -half, -1, -half, 0)   # sin(pi (k+1)/4)
-
-        fact = [mpf(1)]
-        for t in range(1, T + 2):
-            fact.append(fact[-1] * t)
-
+        e_pn = (-1) ** n * mp.exp(pn)          # e^((1+i) pi n), exactly real
+        trig = _exp_moments(mpc(0, 2 * pn), mpf(1), T)
+        grow = _exp_moments(mpc(pn, pn), e_pn, T)
+        decay = _exp_moments(mpc(-pn, pn), 1 / e_pn, T)
         alpha, beta, eta, mu = [], [], [], []
         for t in range(T + 1):
-            Xp = X ** (t + 1)
-            ft = fact[t]
-            a = Xp / (2 * (t + 1))
-            b = mpf(0)
-            for k in range(t):
-                c = ft * Xp / (fact[t - k] * two_pn ** (k + 1))
-                a -= c * _SIN_HALF[k % 4] / 2
-                b -= c * _COS_HALF[k % 4] / 2
-            alpha.append(a)
-            beta.append(b)
-
-            lead = Xp * ft / s2pn ** (t + 1)
-            e = lead * _COS_HALF[t % 4] * cos_q[t % 8]
-            u = -lead * _SIN_HALF[t % 4] * sin_q[t % 8]
-            for k in range(t + 1):
-                pref = ft * Xp * cos_pn / (fact[t - k] * s2pn ** (k + 1))
-                pc = cos_q[k % 8] * _COS_HALF[k % 4]
-                ps = sin_q[k % 8] * _SIN_HALF[k % 4]
-                e -= pref * (pc * ch - ps * sh)
-                u += pref * (ps * ch - pc * sh)
-            eta.append(e)
-            mu.append(u)
+            half = X ** (t + 1) / 2
+            alpha.append(half * (mpf(1) / (t + 1) - trig[t].real))
+            beta.append(half * trig[t].imag)
+            eta.append(half * (grow[t].imag + decay[t].imag))
+            mu.append(half * (grow[t].imag - decay[t].imag))
         return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
                            eta=tuple(eta), mu=tuple(mu))
 

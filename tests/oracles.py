@@ -4,8 +4,9 @@ These deliberately avoid the production code paths they check: naive
 summation instead of Horner, the literal multi-index product expansion of the
 coefficient recurrence instead of the forward iteration, and the scalar
 power-matching relations instead of the vectorized walk, a closed-form
-eigenvalue correction instead of the moment-table projection, and the
-majorant-chain envelope of the eigenvalue corrections.
+eigenvalue correction instead of the moment-table projection, the
+closed-form moment sums instead of the exponential-moment recurrences, and
+the majorant-chain envelope of the eigenvalue corrections.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import itertools
 from mpmath import mp, mpf
 
 from fdsl4.recursion import driving_vector, family_budget, transfer_matrices
+from fdsl4.spectral import MomentTable
 
 _IDENT = ((mpf(1), mpf(0)), (mpf(0), mpf(1)))
 _ZERO = ((mpf(0), mpf(0)), (mpf(0), mpf(0)))
@@ -161,3 +163,60 @@ def correction_envelope(report, j):
         for k in range(2 * j + 2, 0, -2):
             den *= k
         return front * report.r_n ** j * 2 * mpf(num) / mpf(den)
+
+
+# exact values of sin(pi k/2), cos(pi k/2) by residue
+_SIN_HALF = (0, 1, 0, -1)
+_COS_HALF = (1, 0, -1, 0)
+
+
+def closed_form_moments(n, X, T, ctx):
+    """Moment table for powers 0..T by the finite closed-form sums.
+
+    Repeated integration by parts writes each moment as a sum over k <= t of
+    t!/(t-k)! X^(t+1) / (2 pi n)^(k+1) (or (sqrt(2) pi n)^(k+1)) against exact
+    quarter/eighth-period trigonometric values.  The terms alternate and grow
+    with t, so this loses digits as T grows (at 300 digits: about 1e-207 at
+    n=1, X=5, T=105); use it as an oracle for small T only.
+    """
+    with ctx.workprec():
+        X = mpf(X)
+        pn = mp.pi * n
+        two_pn = 2 * pn
+        s2pn = mp.sqrt(2) * pn
+        cos_pn = mpf(-1) ** n
+        ch, sh = mp.cosh(pn), mp.sinh(pn)
+        half = mp.sqrt(2) / 2
+        cos_q = (half, 0, -half, -1, -half, 0, half, 1)   # cos(pi (k+1)/4)
+        sin_q = (half, 1, half, 0, -half, -1, -half, 0)   # sin(pi (k+1)/4)
+
+        fact = [mpf(1)]
+        for t in range(1, T + 2):
+            fact.append(fact[-1] * t)
+
+        alpha, beta, eta, mu = [], [], [], []
+        for t in range(T + 1):
+            Xp = X ** (t + 1)
+            ft = fact[t]
+            a = Xp / (2 * (t + 1))
+            b = mpf(0)
+            for k in range(t):
+                c = ft * Xp / (fact[t - k] * two_pn ** (k + 1))
+                a -= c * _SIN_HALF[k % 4] / 2
+                b -= c * _COS_HALF[k % 4] / 2
+            alpha.append(a)
+            beta.append(b)
+
+            lead = Xp * ft / s2pn ** (t + 1)
+            e = lead * _COS_HALF[t % 4] * cos_q[t % 8]
+            u = -lead * _SIN_HALF[t % 4] * sin_q[t % 8]
+            for k in range(t + 1):
+                pref = ft * Xp * cos_pn / (fact[t - k] * s2pn ** (k + 1))
+                pc = cos_q[k % 8] * _COS_HALF[k % 4]
+                ps = sin_q[k % 8] * _SIN_HALF[k % 4]
+                e -= pref * (pc * ch - ps * sh)
+                u += pref * (ps * ch - pc * sh)
+            eta.append(e)
+            mu.append(u)
+        return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
+                           eta=tuple(eta), mu=tuple(mu))

@@ -225,7 +225,7 @@ def _recurrence_vs_product(spec, n, ctx):
 
 
 def _moments_vs_quadrature(n, X, ctx, t_values=(0, 1, 2, 3, 5, 8, 12)):
-    """Max |closed form - quadrature| over the four kinds, scaled."""
+    """Max |moment table - quadrature| over the four kinds, scaled."""
     from fdsl4.verify import QuadratureRule
     table = moments(n, X, max(t_values), ctx)
     rule = QuadratureRule.build(X, 96, 20, ctx)
@@ -243,10 +243,10 @@ def _moments_vs_quadrature(n, X, ctx, t_values=(0, 1, 2, 3, 5, 8, 12)):
                     acc[i] += wt * xp * k
         worst = mpf(0)
         for t in t_values:
-            closed = (table.alpha[t], table.beta[t], table.eta[t], table.mu[t])
+            row = (table.alpha[t], table.beta[t], table.eta[t], table.mu[t])
             for i in range(4):
-                scale = max(mpf(1), abs(closed[i]))
-                worst = max(worst, abs(closed[i] - sums[t][i]) / scale)
+                scale = max(mpf(1), abs(row[i]))
+                worst = max(worst, abs(row[i] - sums[t][i]) / scale)
         return worst
 
 

@@ -165,3 +165,12 @@ def test_interval_must_be_positive():
         ProblemSpec.make(0, [0, 1], [0], [0], CTX)
     with pytest.raises(ValueError):
         ProblemSpec.make("inf", [0, 1], [0], [0], CTX)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_make_rejects_non_finite_coefficients(bad):
+    for q0, q1, q2 in (([0, bad], [0], [0]), ([0], [bad], [0]), ([0], [0], [0, 0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec.make(1, q0, q1, q2, CTX)
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial.from_values([1, bad], CTX)

@@ -4,7 +4,9 @@ The demos are not run by the suite, so their imports are read with ``ast``.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import fdsl4
@@ -27,6 +29,13 @@ def _fdsl4_imports(path):
 
 def test_exported_names_resolve():
     assert [name for name in fdsl4.__all__ if not hasattr(fdsl4, name)] == []
+
+
+def test_moment_table_interface_pinned():
+    # bench/stagetrace.py reads the ``T`` argument of moments by name
+    assert tuple(inspect.signature(fdsl4.moments).parameters) == ("n", "X", "T", "ctx")
+    assert tuple(f.name for f in dataclasses.fields(fdsl4.MomentTable)) == \
+        ("n", "X", "alpha", "beta", "eta", "mu")
 
 
 def test_demo_imports_exist():

@@ -1,15 +1,33 @@
 """Moment tables, eigenvalue corrections, and the orchestrated solve."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
-                   lambda_correction, moments, solve)
+                   lambda_correction, matching_digits, moments, solve)
 from fdsl4.rhs import build_rhs
 
-from .oracles import x_potential_second_correction
+from .oracles import closed_form_moments, x_potential_second_correction
 
 CTX = PrecisionContext(digits=120)
+COLUMNS = ("alpha", "beta", "eta", "mu")
+
+
+def _column_gap(table, reference, ctx):
+    """Max over the four columns of |difference| / largest |reference entry|.
+
+    An all-zero reference column (beta at T = 0) counts absolute differences.
+    """
+    with ctx.workprec():
+        worst = mpf(0)
+        for col in COLUMNS:
+            got, want = getattr(table, col), getattr(reference, col)
+            assert len(got) == len(want)
+            scale = max(abs(v) for v in want) or mpf(1)
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, want)) / scale)
+        return worst
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +45,7 @@ def test_moment_alpha0_beta0():
 
 
 def test_moments_match_quadrature():
-    # independent check of all four closed forms by composite quadrature
+    # independent check of all four moment kinds by composite quadrature
     for n, X in ((2, "1"), (3, "2.5")):
         X = CTX.mpf(X)
         table = moments(n, X, 6, CTX)
@@ -44,6 +62,46 @@ def test_moments_match_quadrature():
                 assert abs(table.beta[t] - qb) < mpf(10) ** -40
                 assert abs(table.eta[t] - qe) < mpf(10) ** -40 * scale
                 assert abs(table.mu[t] - qm) < mpf(10) ** -40 * scale
+
+
+def test_moments_match_closed_form_oracle():
+    # both the forward-only and the forward-then-backward paths, at every T <= 12
+    ctx = PrecisionContext(digits=300)
+    for n in (1, 3, 50):
+        for X in ("0.5", "1", "5"):
+            for T in range(13):
+                gap = _column_gap(moments(n, X, T, ctx),
+                                  closed_form_moments(n, ctx.mpf(X), T, ctx), ctx)
+                with ctx.workprec():
+                    assert gap < mpf(10) ** -290, (n, X, T, gap)
+
+
+def test_moments_stable_at_high_power():
+    # the closed form is wrong in every digit here (error about 6e+122)
+    lo, hi = PrecisionContext(digits=300), PrecisionContext(digits=450)
+    a, b = moments(1, 5, 305, lo), moments(1, 5, 305, hi)
+    digits = min(matching_digits(x, y, hi)
+                 for col in COLUMNS for x, y in zip(getattr(a, col), getattr(b, col)))
+    assert digits >= 295
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=50),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=120))
+def test_moments_precision_independent(n, half_x, T):
+    lo, hi = PrecisionContext(digits=120), PrecisionContext(digits=160)
+    X = hi.mpf(half_x) / 2
+    gap = _column_gap(moments(n, X, T, lo), moments(n, X, T, hi), hi)
+    with hi.workprec():
+        assert gap < mpf(10) ** -110
+
+
+def test_moments_validate_arguments():
+    with pytest.raises(ValueError):
+        moments(0, 1, 3, CTX)
+    with pytest.raises(ValueError):
+        moments(1, 1, -1, CTX)
 
 
 def test_first_correction_x_potential(x_potential):
