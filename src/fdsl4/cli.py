@@ -38,13 +38,23 @@ def _fmt(value, digits: int) -> str:
     return mp.nstr(value, digits, strip_zeros=False)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _parse_n_list(text: str):
-    try:
-        values = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("indices must be integers >= 1")
+    values = [_int_at_least(1)(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("no indices given")
     return values
 
 
@@ -54,7 +64,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="comma-separated eigenpair indices (default 1)")
     p.add_argument("--digits", type=int, default=300,
                    help="working precision in decimal digits (default 300)")
-    p.add_argument("--print-digits", type=int, default=DEFAULT_PRINT_DIGITS,
+    p.add_argument("--print-digits", type=_int_at_least(1), default=DEFAULT_PRINT_DIGITS,
                    help="digits shown in output (default 50)")
 
 
@@ -67,25 +77,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute rank-m eigenvalue approximations")
     _add_common(p)
-    p.add_argument("--m", type=int, default=10, help="rank (default 10)")
+    p.add_argument("--m", type=_int_at_least(0), default=10, help="rank (default 10)")
     p.add_argument("--json", help="write solutions to this JSON file")
     p.add_argument("--certify", action="store_true",
                    help="replay at half precision and report certified digits")
 
     p = sub.add_parser("sweep", help="rank sweep as CSV")
     _add_common(p)
-    p.add_argument("--m-max", type=int, default=10, help="largest rank (default 10)")
+    p.add_argument("--m-max", type=_int_at_least(1), default=10,
+                   help="largest rank (default 10)")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("check", help="convergence diagnostics")
     _add_common(p)
-    p.add_argument("--m", type=int, default=10,
+    p.add_argument("--m", type=_int_at_least(0), default=10,
                    help="rank for the error bounds (default 10)")
 
     p = sub.add_parser("oracle", help="cross-check against sine-Galerkin")
     _add_common(p)
-    p.add_argument("--m", type=int, default=10, help="rank (default 10)")
-    p.add_argument("--basis-size", type=int, default=200,
+    p.add_argument("--m", type=_int_at_least(0), default=10, help="rank (default 10)")
+    p.add_argument("--basis-size", type=_int_at_least(1), default=200,
                    help="Galerkin basis size N (default 200)")
     p.add_argument("--oracle-digits", type=int, default=50,
                    help="working precision of the oracle (default 50)")
@@ -120,9 +131,6 @@ def cmd_solve(args, spec, ctx) -> int:
 
 
 def cmd_sweep(args, spec, ctx) -> int:
-    if args.m_max < 1:
-        print("error: --m-max must be >= 1", file=sys.stderr)
-        return 2
     rows = []
     for n in args.n:
         sol = solve(spec, n, args.m_max, ctx)
@@ -192,7 +200,10 @@ def cmd_oracle(args, spec, ctx) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (status 2) and --help (0)
+        return exc.code
     try:
         ctx = PrecisionContext(digits=args.digits)
     except ValueError as exc:

@@ -12,8 +12,8 @@ One step of the method is the three-part FD step: apply the potential part
 of the operator to the newest correction in the mixed basis
 (:func:`fdsl4.rhs.build_rhs`), project the result onto the base
 eigenfunction to get the next eigenvalue correction
-(:func:`lambda_correction`), and invert u'''' - lambda0 u with 2x2
-recurrences (:func:`fdsl4.recursion.solve_step`).
+(:func:`lambda_correction`), and invert u'''' - lambda0 u with one scalar
+recurrence per exponent (:func:`fdsl4.recursion.solve_step`).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     """Rank-m approximation to eigenpair n.
 
     Stages per step j = 0..m-1: right-hand side F, eigenvalue correction as
-    its projection, downward recurrence from zero pairs above the top,
+    its projection, downward scalar recurrences from zeros above the top,
     power-0 closure, term assembly.  Steps are inherently sequential;
     different n are independent.
     """
@@ -123,7 +123,8 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
         raise ValueError("rank must be >= 0")
     term0, lam0 = base_pair(spec, n, ctx)
     terms, lambdas = [term0], [lam0]
-    table = moments(n, spec.X, spec.budget.M(m) + spec.budget.r + 1, ctx)
+    # the highest power any step reads is M(m), in the last step's closure
+    table = moments(n, spec.X, spec.budget.M(m), ctx)
     for j in range(m):
         step_rhs = build_rhs(spec, n, j, terms, lambdas, ctx)
         lambdas.append(lambda_correction(step_rhs, table, ctx))

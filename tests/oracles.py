@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths they check: naive
 summation instead of Horner, the literal multi-index product expansion of the
-coefficient recurrence instead of the forward iteration, and the scalar
-power-matching relations instead of the vectorized walk, a closed-form
+coefficient recurrence in the paper's 2x2 matrix form instead of the scalar
+walks, the scalar power-matching relations instead of the walks, a closed-form
 eigenvalue correction instead of the moment-table projection, the
 closed-form moment sums instead of the exponential-moment recurrences, and
 the majorant-chain envelope of the eigenvalue corrections.
@@ -13,22 +13,70 @@ import itertools
 
 from mpmath import mp, mpf
 
-from fdsl4.recursion import driving_vector, family_budget, transfer_matrices
 from fdsl4.spectral import MomentTable
-
-_IDENT = ((mpf(1), mpf(0)), (mpf(0), mpf(1)))
-_ZERO = ((mpf(0), mpf(0)), (mpf(0), mpf(0)))
-
 
 def naive_poly_eval(coeffs, x):
     """Term-by-term power sum, no Horner."""
     return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
+# --- the paper's (2x1)-vector / (2x2)-matrix form of the step recurrence ----
+#
+# Families are "trig" (sin/cos pairs (a, b), budget M(j+1)) and "hyp"
+# (sinh/cosh pairs (c, d), budget M(j)); position p couples the pair at power
+# M-p-3 to the three pairs above it.
+
+_IDENT = ((mpf(1), mpf(0)), (mpf(0), mpf(1)))
+_ZERO = ((mpf(0), mpf(0)), (mpf(0), mpf(0)))
+
+
+def _family_budget(spec, family, j):
+    return spec.budget.M(j + 1) if family == "trig" else spec.budget.M(j)
+
+
+def _at(arr, i):
+    return arr[i] if 0 <= i < len(arr) else mpf(0)
+
+
+def _transfer_matrices(spec, family, n, j, p, ctx):
+    """The three 2x2 weights D11, D12, D13 at recurrence position p."""
+    M = _family_budget(spec, family, j)
+    with ctx.workprec():
+        iw = spec.X / (mp.pi * n)
+        g1, g2, g3 = mpf(M - p), mpf(M - p - 1), mpf(M - p - 2)
+        r11 = 3 * iw / 2 * g3
+        r12 = iw ** 2 * g2 * g3
+        r13 = iw ** 3 / 4 * g1 * g2 * g3
+        if family == "trig":
+            d11 = ((mpf(0), -r11), (r11, mpf(0)))
+            d12 = ((r12, mpf(0)), (mpf(0), r12))
+            d13 = ((mpf(0), r13), (-r13, mpf(0)))
+        else:
+            d11 = ((mpf(0), -r11), (-r11, mpf(0)))
+            d12 = ((-r12, mpf(0)), (mpf(0), -r12))
+            d13 = ((mpf(0), -r13), (-r13, mpf(0)))
+        return d11, d12, d13
+
+
+def _driving_vector(spec, family, rhs, n, j, p, ctx):
+    """Inhomogeneous 2-vector F(p+3) of the recurrence."""
+    M = _family_budget(spec, family, j)
+    if family == "trig":
+        f1, f2 = rhs.f_sin, rhs.f_cos
+    else:
+        f1, f2 = rhs.f_sinh, rhs.f_cosh
+    with ctx.workprec():
+        iw = spec.X / (mp.pi * n)
+        scale = iw ** 3 / (4 * (M - p - 3))
+        if family == "trig":
+            return (-scale * _at(f2, M - p - 4), scale * _at(f1, M - p - 4))
+        return (scale * _at(f2, M - p - 4), scale * _at(f1, M - p - 4))
+
+
 def _block(spec, family, n, j, p, l_out, l_in, ctx):
     """Entry D_{l_out, l_in}(p) of the companion block matrix."""
     if l_out == 1:
-        return transfer_matrices(spec, family, n, j, p, ctx)[l_in - 1]
+        return _transfer_matrices(spec, family, n, j, p, ctx)[l_in - 1]
     if (l_out, l_in) in ((2, 1), (3, 2)):
         return _IDENT
     return _ZERO
@@ -38,16 +86,23 @@ def _matvec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
+def term_pairs(term, family):
+    """{power: pair} of a correction's (a, b) or (c, d) arrays."""
+    first, second = (term.a, term.b) if family == "trig" else (term.c, term.d)
+    return dict(enumerate(zip(first, second)))
+
+
 def product_expansion_pair(spec, family, rhs, n, j, p, walked, ctx):
     """Pair at power index M-p-3 by the explicit product-sum expansion.
 
-    The seeds are the pairs at powers M, M-1, M-2 of ``walked``, the dict
-    that ``run_recurrence`` returns.  Enumerate every path of block-matrix
-    indices: the homogeneous part sums chains of length p+1 applied to one of
-    the three seed pairs, the inhomogeneous part sums shorter chains applied
-    to the driving vectors.  Exponential in p; intended for small p only.
+    The seeds are the pairs at powers M, M-1, M-2 of ``walked``, a
+    {power: pair} dict (see :func:`term_pairs`).  Enumerate every path of
+    block-matrix indices: the homogeneous part sums chains of length p+1
+    applied to one of the three seed pairs, the inhomogeneous part sums
+    shorter chains applied to the driving vectors.  Exponential in p;
+    intended for small p only.
     """
-    M = family_budget(spec, family, j)
+    M = _family_budget(spec, family, j)
     with ctx.workprec():
         total = (mpf(0), mpf(0))
         # chains against the seed pairs; l_{p+1} = 1 fixed
@@ -66,7 +121,7 @@ def product_expansion_pair(spec, family, rhs, n, j, p, walked, ctx):
                 total = (total[0] + vec[0], total[1] + vec[1])
         # chains against the driving vectors
         for s_len in range(1, p + 1):
-            fvec = driving_vector(spec, family, rhs, n, j, p - s_len, ctx)
+            fvec = _driving_vector(spec, family, rhs, n, j, p - s_len, ctx)
             for mid in itertools.product((1, 2, 3), repeat=max(0, s_len - 1)):
                 chain = (1,) + mid + (1,)  # l_0 = l_s = 1
                 vec = fvec
@@ -80,45 +135,46 @@ def product_expansion_pair(spec, family, rhs, n, j, p, walked, ctx):
                     vec = _matvec(mat, vec)
                 if not dead:
                     total = (total[0] + vec[0], total[1] + vec[1])
-        last = driving_vector(spec, family, rhs, n, j, p, ctx)
+        last = _driving_vector(spec, family, rhs, n, j, p, ctx)
         return (total[0] + last[0], total[1] + last[1])
 
 
-def _at(arr, i):
-    return arr[i] if i < len(arr) else mpf(0)
+# Power-matching equations: (array P, partner Q, rhs array, signs of the
+# 4w, 6w^2 and 4w^3 summands); equation t reads P and Q at powers t+1 .. t+4.
+_EQUATIONS = (("b", "a", "f_cos", (1, -1, -1)), ("a", "b", "f_sin", (-1, -1, 1)),
+              ("d", "c", "f_cosh", (1, 1, 1)), ("c", "d", "f_sinh", (1, 1, 1)))
 
 
-def power_matching_mismatch(spec, term, rhs, ctx):
+def _power_row(P, Q, t, w, signs):
+    s1, s2, s3 = signs
+    return ((((t + 4) * P[t + 4] + s1 * 4 * w * Q[t + 3]) * (t + 3)
+             + s2 * 6 * w ** 2 * P[t + 2]) * (t + 2)
+            + s3 * 4 * w ** 3 * Q[t + 1]) * (t + 1)
+
+
+def power_matching_mismatch(spec, term, rhs, ctx, relative=False):
     """Max |lhs - rhs| of the scalar power-matching relations for a term.
 
     Substituting the term into u'''' - lambda0 u and collecting x^t against
     each basis function must reproduce the rhs coefficient arrays for every
     equation t = 0 .. (budget - 1), the top three included, with the
     coefficients above the budget read as zero.  Checks all four families.
+    With ``relative`` each equation's gap is divided by the sum of the
+    absolute values of its summands, each coefficient counted at the size
+    |P[k]| + |Q[k]| of its pair: the walks round the two together.
     """
-    n, X = term.n, term.X
     with ctx.workprec():
-        w = mp.pi * n / X
+        w = mp.pi * term.n / term.X
         worst = mpf(0)
-        a, b, c, d = (arr + (mpf(0),) * 4 for arr in (term.a, term.b, term.c, term.d))
-        for t in range(max(len(term.a) - 1, len(rhs.f_cos), len(rhs.f_sin))):
-            lhs_cos = ((((t + 4) * b[t + 4] + 4 * w * a[t + 3]) * (t + 3)
-                        - 6 * w ** 2 * b[t + 2]) * (t + 2)
-                       - 4 * w ** 3 * a[t + 1]) * (t + 1)
-            lhs_sin = ((((t + 4) * a[t + 4] - 4 * w * b[t + 3]) * (t + 3)
-                        - 6 * w ** 2 * a[t + 2]) * (t + 2)
-                       + 4 * w ** 3 * b[t + 1]) * (t + 1)
-            worst = max(worst, abs(lhs_cos - _at(rhs.f_cos, t)),
-                        abs(lhs_sin - _at(rhs.f_sin, t)))
-        for t in range(max(len(term.c) - 1, len(rhs.f_cosh), len(rhs.f_sinh))):
-            lhs_cosh = ((((t + 4) * d[t + 4] + 4 * w * c[t + 3]) * (t + 3)
-                         + 6 * w ** 2 * d[t + 2]) * (t + 2)
-                        + 4 * w ** 3 * c[t + 1]) * (t + 1)
-            lhs_sinh = ((((t + 4) * c[t + 4] + 4 * w * d[t + 3]) * (t + 3)
-                         + 6 * w ** 2 * c[t + 2]) * (t + 2)
-                        + 4 * w ** 3 * d[t + 1]) * (t + 1)
-            worst = max(worst, abs(lhs_cosh - _at(rhs.f_cosh, t)),
-                        abs(lhs_sinh - _at(rhs.f_sinh, t)))
+        for p_name, q_name, f_name, signs in _EQUATIONS:
+            P, Q = (getattr(term, k) + (mpf(0),) * 4 for k in (p_name, q_name))
+            pair = [abs(p) + abs(q) for p, q in zip(P, Q)]
+            f = getattr(rhs, f_name)
+            for t in range(max(len(P) - 5, len(f))):
+                gap = abs(_power_row(P, Q, t, w, signs) - _at(f, t))
+                if relative and gap:
+                    gap /= _power_row(pair, pair, t, w, (1, 1, 1)) + abs(_at(f, t))
+                worst = max(worst, gap)
         return worst
 
 

@@ -14,13 +14,13 @@ from fdsl4 import (PrecisionContext, assemble, eval_term,
                    galerkin_nearest_eigenvalue, load_fixtures, moments,
                    residual_sweep, solve)
 from fdsl4.convergence import constant_Mn, convergence_report, majorant
-from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence
 from fdsl4.rhs import eval_rhs
 from fdsl4.spectral import lambda_correction
 
 from .conftest import B2_INDICES, step_rhs
 from .oracles import (least_squares_slope, power_matching_mismatch,
-                      product_expansion_pair, x_potential_second_correction)
+                      product_expansion_pair, term_pairs,
+                      x_potential_second_correction)
 
 ORACLE_CTX = PrecisionContext(digits=50)
 
@@ -173,7 +173,7 @@ def test_criterion_4_closed_forms(benchmark1, benchmark2, b1_solutions_m20,
 def _property_defects(spec, n, m, ctx):
     """Max defect of each structural property for one solve."""
     sol = solve(spec, n, m, ctx)
-    table = moments(n, spec.X, spec.budget.M(m) + spec.budget.r + 1, ctx)
+    table = moments(n, spec.X, spec.budget.M(m), ctx)
     rng = random.Random(1000 * n + m)
     with ctx.workprec():
         bc = mpf(0)
@@ -206,15 +206,15 @@ def _property_defects(spec, n, m, ctx):
 
 
 def _recurrence_vs_product(spec, n, ctx):
-    """Max mismatch between the forward walk and the product expansion."""
+    """Max mismatch between the scalar walks and the 2x2 product expansion."""
     sol = solve(spec, n, 2, ctx)
     with ctx.workprec():
         worst = mpf(0)
         for j in (0, 1):
             step = step_rhs(spec, sol, j, ctx)
-            for family in (TRIG, HYP):
-                M = family_budget(spec, family, j)
-                walked = run_recurrence(spec, family, step, n, j, ctx)
+            for family in ("trig", "hyp"):
+                walked = term_pairs(sol.terms[j + 1], family)
+                M = len(walked) - 1
                 for p in range(min(M - 3, 5)):
                     want = walked[M - p - 3]
                     got = product_expansion_pair(spec, family, step, n, j, p, walked, ctx)

@@ -103,6 +103,22 @@ def test_sweep_rejects_bad_rank(capsys):
     assert "m-max" in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("solve", "--m", "-1"), "--m"),
+    (("check", "--m", "-1"), "--m"),
+    (("oracle", "--m", "-1"), "--m"),
+    (("oracle", "--basis-size", "0"), "--basis-size"),
+    (("solve", "--print-digits", "0"), "--print-digits"),
+    (("solve", "--print-digits", "-3"), "--print-digits"),
+    (("sweep", "--print-digits", "x"), "--print-digits"),
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv, "--problem", B2, "--digits", "60")
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
 def test_check_reports_condition(capsys):
     code, out, _ = run(capsys, "check", "--problem", B1, "--n", "1,3",
                        "--digits", "60")

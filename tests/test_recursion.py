@@ -1,17 +1,21 @@
-"""Coefficient recursion: printed step-1 values, product-form oracle, closure."""
+"""Coefficient recursion: printed step-1 values, product-form oracle, closure,
+and the step on arbitrary right-hand sides."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, ProblemSpec, base_pair, eval_term,
-                   lambda_correction, moments, solve)
-from fdsl4.recursion import HYP, TRIG, family_budget, run_recurrence
+from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
+                   eval_term, lambda_correction, moments, solve)
+from fdsl4.corrections import _eval_arrays, basis_values
+from fdsl4.recursion import closure_index0, solve_step
 from fdsl4.rhs import RhsCoefficients, add_base_term, build_rhs, eval_rhs
 
 from .conftest import step_rhs
-from .oracles import power_matching_mismatch, product_expansion_pair
+from .oracles import power_matching_mismatch, product_expansion_pair, term_pairs
 
 CTX = PrecisionContext(digits=120)
 TOL = None  # bound set per test at working precision
@@ -24,7 +28,7 @@ def x_potential():
 
 def _first_step_rhs(spec, n):
     term0, lam0 = base_pair(spec, n, CTX)
-    table = moments(n, spec.X, spec.budget.M(3) + spec.budget.r + 1, CTX)
+    table = moments(n, spec.X, spec.budget.M(1), CTX)
     rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
     return add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX), table
 
@@ -33,38 +37,38 @@ def test_x_potential_top_coeffs(x_potential):
     # printed first-step values: the trig budget is 2, so the walk's rows
     # give powers 2 and 1 (power 0 is the closure's)
     n = 3
-    rhs, _ = _first_step_rhs(x_potential, n)
-    top = run_recurrence(x_potential, TRIG, rhs, n, 0, CTX)
-    assert sorted(top) == [1, 2]
+    rhs, table = _first_step_rhs(x_potential, n)
+    a, b, _, _ = solve_step(x_potential, n, 0, rhs, table, CTX)
+    assert len(a) == len(b) == 3
     with CTX.workprec():
         pn = mp.pi * n
         s2 = mp.sqrt(2)
         tol = mpf(10) ** -110
-        a2, b2 = top[2]
-        assert abs(b2 + s2 / (8 * pn ** 3)) < tol
-        assert abs(a2) < tol
-        a1, b1 = top[1]
-        assert abs(b1 - s2 / (8 * pn ** 3)) < tol
-        assert abs(a1 - 3 * s2 / (8 * pn ** 4)) < tol
+        assert abs(b[2] + s2 / (8 * pn ** 3)) < tol
+        assert abs(a[2]) < tol
+        assert abs(b[1] - s2 / (8 * pn ** 3)) < tol
+        assert abs(a[1] - 3 * s2 / (8 * pn ** 4)) < tol
 
 
 def test_zero_rhs_gives_zero_rows(x_potential):
     zero = RhsCoefficients(n=1, j=0, f_cos=(mpf(0),) * 2, f_sin=(mpf(0),) * 2,
                            f_cosh=(), f_sinh=())
-    top = run_recurrence(x_potential, TRIG, zero, 1, 0, CTX)
-    assert all(v == 0 for pair in top.values() for v in pair)
+    table = moments(1, x_potential.X, x_potential.budget.M(1), CTX)
+    arrays = solve_step(x_potential, 1, 0, zero, table, CTX)
+    assert all(v == 0 for arr in arrays for v in arr[1:])
 
 
 def test_hyp_family_skipped_at_step_one(x_potential):
-    rhs, _ = _first_step_rhs(x_potential, 1)
-    assert run_recurrence(x_potential, HYP, rhs, 1, 0, CTX) == {}
+    rhs, table = _first_step_rhs(x_potential, 1)
+    _, _, c, d = solve_step(x_potential, 1, 0, rhs, table, CTX)
+    assert len(c) == len(d) == 1  # power 0 only, from the closure
 
 
 def test_benchmark1_step1_full_arrays(benchmark1):
     # budget 5: the highest-power rows give powers 5, 4, 3, the walk 2 and 1
     n = 1
     rhs, table = _first_step_rhs(benchmark1, n)
-    coeffs = run_recurrence(benchmark1, TRIG, rhs, n, 0, CTX)
+    a, b, _, _ = solve_step(benchmark1, n, 0, rhs, table, CTX)
     with CTX.workprec():
         pn = mp.pi * n
         s10 = mp.sqrt(mpf(10))
@@ -77,7 +81,7 @@ def test_benchmark1_step1_full_arrays(benchmark1):
             1: (mpf(0), s10 / (8 * pn) * (mpf(1) / 3 + 5 / (8 * pn ** 2) - 25 / (8 * pn ** 4))),
         }
         for idx, (ea, eb) in expected.items():
-            ga, gb = coeffs[idx]
+            ga, gb = a[idx], b[idx]
             assert abs(ga - ea) < tol, f"power {idx} sin-coefficient"
             assert abs(gb - eb) < tol, f"power {idx} cos-coefficient"
 
@@ -111,25 +115,25 @@ def test_x_potential_step1_closure(x_potential):
 
 
 def test_closure_zero_arrays(x_potential):
-    from fdsl4.recursion import closure_index0
     table = moments(1, x_potential.X, 8, CTX)
     with CTX.workprec():
-        zero = {i: (mpf(0), mpf(0)) for i in range(3)}
-        vals = closure_index0(x_potential, 1, 0, zero, {}, table, CTX)
+        trig, hyp = [mpf(0)] * 3, [mpf(0)]
+        vals = closure_index0(x_potential, 1, trig, trig, hyp, hyp, table, CTX)
         assert all(v == 0 for v in vals)
 
 
 def test_iteration_matches_product_expansion(benchmark1):
-    # the literal product-sum expansion must agree with the forward walk
+    # the literal product-sum expansion of the paper's 2x2 form must agree
+    # with the scalar walks
     n, m = 2, 3
     sol = solve(benchmark1, n, m, CTX)
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 10)
         for j in (0, 1):
             rhs = step_rhs(benchmark1, sol, j, CTX)
-            for family in (TRIG, HYP):
-                M = family_budget(benchmark1, family, j)
-                walked = run_recurrence(benchmark1, family, rhs, n, j, CTX)
+            for family in ("trig", "hyp"):
+                walked = term_pairs(sol.terms[j + 1], family)
+                M = len(walked) - 1
                 for p in range(min(M - 3, 5)):
                     want = walked[M - p - 3]
                     got = product_expansion_pair(benchmark1, family, rhs, n, j,
@@ -164,3 +168,68 @@ def test_ode_step_residual_pointwise(benchmark1):
                 x = benchmark1.X * mpf(rng.random())
                 lhs = eval_term(term, x, 4, ctx=CTX) - sol.lambda0 * eval_term(term, x, ctx=CTX)
                 assert abs(lhs - eval_rhs(rhs, benchmark1, x, CTX)) < tol
+
+
+def _size_derivative(arrays, w):
+    """The derivative map with every summand counted positive."""
+    def step(arr, partner):
+        return tuple((arr[p + 1] * (p + 1) if p + 1 < len(arr) else 0) + w * partner[p]
+                     for p in range(len(arr)))
+    a, b, c, d = arrays
+    return step(a, b), step(b, a), step(c, d), step(d, c)
+
+
+def _boundary_defects(term, ctx):
+    """|u(x)|, |u''(x)| at x = 0, X, each over the sum of |summands| in it.
+
+    Each coefficient counts at the size of its (a, b) or (c, d) pair, as in
+    the relative power-matching check.
+    """
+    with ctx.workprec():
+        w = mp.pi * term.n / term.X
+        trig = tuple(abs(p) + abs(q) for p, q in zip(term.a, term.b))
+        hyp = tuple(abs(p) + abs(q) for p, q in zip(term.c, term.d))
+        defects = []
+        for x in (mpf(0), term.X):
+            basis = tuple(abs(v) for v in basis_values(term.n, term.X, x, ctx))
+            sizes = (trig, trig, hyp, hyp)
+            for order in (0, 2):
+                if order:
+                    sizes = _size_derivative(_size_derivative(sizes, w), w)
+                value = abs(eval_term(term, x, order, ctx=ctx))
+                defects.append(value / _eval_arrays(sizes, x, basis) if value else value)
+        return defects
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["0.5", "1", "2", "5"]),
+       st.integers(min_value=1, max_value=50),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=4),
+       st.randoms(use_true_random=False))
+def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
+    # independent random f_sinh and f_cosh drive the c + d and c - d walks
+    # apart, which F from solve never does.  Entries lie on a 1e-6 grid in
+    # [-1, 1]: adding lambda u0 may cancel f_sin[0] almost entirely, and u''(X)
+    # then carries that rounding, relative to the entries before the cancellation
+    spec = ProblemSpec.make(X, [0] * r + [1], [0], [0], CTX)
+    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    table = moments(n, spec.X, M1, CTX)
+    term0, _ = base_pair(spec, n, CTX)
+    with CTX.workprec():
+        f_cos, f_sin, f_cosh, f_sinh = (
+            tuple(mpf(rng.randint(-10 ** 6, 10 ** 6)) / 10 ** 6 for _ in range(size))
+            for size in (M1, M1, M0, M0))
+    rhs = RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
+                          f_cosh=f_cosh, f_sinh=f_sinh)
+    rhs = add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX)
+    a, b, c, d = solve_step(spec, n, j, rhs, table, CTX)
+    term = CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d)
+    with CTX.workprec():
+        tol = mpf(10) ** -(CTX.digits - 30)
+        assert power_matching_mismatch(spec, term, rhs, CTX, relative=True) < tol
+        assert all(defect < tol for defect in _boundary_defects(term, CTX))
+        products = [m[t] * v for m, arr in ((table.alpha, a), (table.beta, b),
+                                            (table.mu, c), (table.eta, d))
+                    for t, v in enumerate(arr)]
+        assert abs(mp.fsum(products)) <= tol * mp.fsum(abs(v) for v in products)

@@ -18,7 +18,7 @@ CTX = PrecisionContext(digits=120)
 def _step0(spec, n):
     """F of step 1 without lambda^(1) u^(0), lambda^(1), the base term and the table."""
     term0, lam0 = base_pair(spec, n, CTX)
-    table = moments(n, spec.X, spec.budget.M(3) + spec.budget.r + 1, CTX)
+    table = moments(n, spec.X, spec.budget.M(1), CTX)
     rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
     return rhs, lambda_correction(rhs, table, CTX), term0, table
 
@@ -113,7 +113,7 @@ def test_solvability_inner_product(benchmark1):
     spec = benchmark1
     n, m = 3, 3
     sol = solve(spec, n, m, CTX)
-    table = moments(n, spec.X, spec.budget.M(m) + spec.budget.r + 1, CTX)
+    table = moments(n, spec.X, spec.budget.M(m), CTX)
     lambdas = (sol.lambda0,) + sol.lambda_corrections
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 20)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
-                   lambda_correction, matching_digits, moments, solve)
+                   lambda_correction, matching_digits, moments, solve, spectral)
 from fdsl4.rhs import build_rhs
 
 from .oracles import closed_form_moments, x_potential_second_correction
@@ -176,6 +176,25 @@ def test_solve_validates_arguments(x_potential):
         solve(x_potential, 0, 3, CTX)
     with pytest.raises(ValueError):
         solve(x_potential, 1, -1, CTX)
+
+
+def test_solve_sizes_table_to_top_power(benchmark1, x_potential, monkeypatch):
+    # the last step's closure reads power M(m) and nothing reads above it:
+    # the table is built at T = M(m), and one power fewer does not suffice
+    seen, short = [], [0]
+
+    def recording(n, X, T, ctx):
+        seen.append(T)
+        return moments(n, X, T - short[0], ctx)
+
+    monkeypatch.setattr(spectral, "moments", recording)
+    for spec, m in ((benchmark1, 3), (x_potential, 5)):
+        seen.clear()
+        solve(spec, 1, m, CTX)
+        assert seen == [spec.budget.M(m)]
+    short[0] = 1
+    with pytest.raises(IndexError):
+        solve(benchmark1, 1, 3, CTX)
 
 
 def test_solve_zero_potentials():
