@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(0), default=10, help="rank (default 10)")
     p.add_argument("--basis-size", type=_int_at_least(1), default=200,
                    help="Galerkin basis size N (default 200)")
-    p.add_argument("--oracle-digits", type=int, default=50,
-                   help="working precision of the oracle (default 50)")
+    p.add_argument("--oracle-digits", type=_int_at_least(30), default=50,
+                   help="working precision of the oracle (default 50, at least 30)")
     return parser
 
 
@@ -178,7 +178,7 @@ def cmd_check(args, spec, ctx) -> int:
 
 
 def cmd_oracle(args, spec, ctx) -> int:
-    oracle_ctx = PrecisionContext(digits=max(30, args.oracle_digits))
+    oracle_ctx = PrecisionContext(digits=args.oracle_digits)
     status = 0
     print(f"{'n':>4} {'fd_lambda':>{args.print_digits + 8}} {'oracle':>24} {'digits':>7}")
     for n in args.n:
@@ -192,7 +192,7 @@ def cmd_oracle(args, spec, ctx) -> int:
             print(f"oracle failed for n={n}: {exc}", file=sys.stderr)
             status = 1
             continue
-        agree = matching_digits(sol.lambda_approx, mp.nstr(ritz, 30), oracle_ctx)
+        agree = min(matching_digits(sol.lambda_approx, ritz, oracle_ctx), oracle_ctx.digits)
         print(f"{n:>4} {_fmt(sol.lambda_approx, args.print_digits):>{args.print_digits + 8}} "
               f"{_fmt(ritz, 15):>24} {agree:>7}")
     return status

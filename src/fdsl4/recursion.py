@@ -10,24 +10,28 @@ x^t e^(zeta w x) obeys
     r11 = 3 iw (t+1) / 2,   r12 = iw^2 (t+2)(t+1),
     r13 = iw^3 (t+3)(t+2)(t+1) / 4,   s = iw^3 / (4 t).
 
-Three walks cover the basis:
+zeta = i on Z = a + i b, F = -f_cos + i f_sin gives the a and b rows as its
+real and imaginary parts; zeta = -1 on c + d and zeta = +1 on c - d, driven
+by f_cosh + f_sinh and f_cosh - f_sinh, add and subtract to the c and d rows:
 
-    zeta = i    Z = a + i b      F = -f_cos + i f_sin      (budget M(j+1))
-    zeta = -1   Z = c + d        F = f_cosh + f_sinh       (budget M(j))
-    zeta = +1   Z = c - d        F = f_cosh - f_sinh       (budget M(j))
+    a(t) = -r11 b(t+1) + r12 a(t+2) + r13 b(t+3) - s f_cos(t-1)
+    b(t) =  r11 a(t+1) + r12 b(t+2) - r13 a(t+3) + s f_sin(t-1)
+    c(t) = -r11 d(t+1) - r12 c(t+2) - r13 d(t+3) + s f_cosh(t-1)
+    d(t) = -r11 c(t+1) - r12 d(t+2) - r13 c(t+3) + s f_sinh(t-1)
 
-so a = Re Z, b = Im Z, c = (sigma + delta)/2 and d = (sigma - delta)/2 with
-sigma, delta the c + d and c - d walks.  The coefficients above the budget M
-are zero, so each walk starts from three zeros and runs down to power 1.
+Each row is one exactly rounded dot product of four pairs (``mp.fdot``).  The
+coefficients above the budgets, M(j+1) for a, b and M(j) for c, d, are zero,
+so one downward loop starts from three zero rows and runs to power 1.
 Power 0 spans the kernel of u'''' - lambda0 u; it is closed from the boundary
-conditions plus orthogonality against the base eigenfunction.
+conditions plus orthogonality against the base eigenfunction, whose sums over
+the powers are dot products too.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
@@ -37,22 +41,9 @@ if TYPE_CHECKING:  # avoid an import cycle with the orchestration module
     from .spectral import MomentTable
 
 
-def _walk(zeta, f, M: int, iw) -> list:
-    """[0, Z(1), .., Z(M)] of the scalar recurrence driven by f = F(0..M-1).
-
-    Power 0 is left zero for the closure.  Runs at the caller's precision.
-    """
-    zeta = mp.mpmathify(zeta)
-    c1 = zeta * (3 * iw / 2)
-    c2 = -zeta ** 2 * iw ** 2
-    iw3_4 = iw ** 3 / 4
-    c3 = zeta ** 3 * iw3_4
-    Z = [mpf(0)] * (M + 4)
-    for t in range(M, 0, -1):
-        Z[t] = (c1 * (t + 1) * Z[t + 1] + c2 * (t + 2) * (t + 1) * Z[t + 2]
-                + c3 * (t + 3) * (t + 2) * (t + 1) * Z[t + 3]
-                + iw3_4 / t * f[t - 1])
-    return Z[:M + 1]
+def _pairs(weights, arr) -> list:
+    """(weights[t], arr[t]) for t = 1 .. len(arr)-1; a short ``weights`` raises."""
+    return [(weights[t], arr[t]) for t in range(1, len(arr))]
 
 
 def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
@@ -65,34 +56,28 @@ def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
     boundary sums; orthogonality against the base eigenfunction then pins
     the sin coefficient via the cached moment integrals.
     """
-    M1, M0 = len(a) - 1, len(c) - 1
+    M0 = len(c) - 1
     with ctx.workprec():
-        iw = spec.X / (mp.pi * n)
+        X = spec.X
+        iw = X / (mp.pi * n)
         c1 = c[1] if M0 >= 1 else mpf(0)
         d2 = d[2] if M0 >= 2 else mpf(0)
         b0 = iw * (a[1] + c1 + iw * (b[2] + d2))
         d0 = -b0
 
-        X = spec.X
+        powers = [mpf(1)]  # X^t by repeated multiplication
+        for _ in range(max(len(a), len(c)) - 1):
+            powers.append(powers[-1] * X)
         cos_pn = mpf(-1) ** n
         sinh_pn = mp.sinh(mp.pi * n)
         cosh_pn = mp.cosh(mp.pi * n)
-        b_sum = b0
-        for t in range(1, M1 + 1):
-            b_sum += X ** t * b[t]
-        d_sum = d0
-        c_tail = mpf(0)
-        for t in range(1, M0 + 1):
-            d_sum += X ** t * d[t]
-            c_tail += X ** t * c[t]
-        c0 = -(b_sum * cos_pn + d_sum * cosh_pn) / sinh_pn - c_tail
+        b_sum = b0 + mp.fdot(_pairs(powers, b))
+        d_sum = d0 + mp.fdot(_pairs(powers, d))
+        c0 = -(b_sum * cos_pn + d_sum * cosh_pn) / sinh_pn - mp.fdot(_pairs(powers, c))
 
-        ortho = mpf(0)
-        for t in range(1, M1 + 1):
-            ortho += moments.beta[t] * b[t] + moments.alpha[t] * a[t]
-        ortho += moments.eta[0] * d0 + moments.mu[0] * c0
-        for t in range(1, M0 + 1):
-            ortho += moments.eta[t] * d[t] + moments.mu[t] * c[t]
+        ortho = mp.fdot(_pairs(moments.alpha, a) + _pairs(moments.beta, b)
+                        + _pairs(moments.mu, c) + _pairs(moments.eta, d)
+                        + [(moments.mu[0], c0), (moments.eta[0], d0)])
         a0 = -2 / X * ortho
         return a0, b0, c0, d0
 
@@ -101,22 +86,27 @@ def solve_step(spec: ProblemSpec, n: int, j: int, rhs: RhsCoefficients,
                moments: "MomentTable", ctx: PrecisionContext):
     """All four coefficient arrays of the step-(j+1) correction.
 
-    Three scalar walks, seeded with zeros above their top power, give
+    One downward loop, seeded with zero rows above the top powers, gives
     powers M .. 1 and the closure gives power 0.  Returns (a, b, c, d) as
     tuples with trig length M(j+1)+1 and hyperbolic length M(j)+1.
     """
     M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    f_cos, f_sin, f_cosh, f_sinh = rhs.f_cos, rhs.f_sin, rhs.f_cosh, rhs.f_sinh
+    fdot = mp.fdot
     with ctx.workprec():
         iw = spec.X / (mp.pi * n)
-        trig = _walk(1j, [mpc(-fc, fs) for fc, fs in zip(rhs.f_cos, rhs.f_sin)],
-                     M1, iw)
-        sigma = _walk(-1, [ch + sh for ch, sh in zip(rhs.f_cosh, rhs.f_sinh)],
-                      M0, iw)
-        delta = _walk(1, [ch - sh for ch, sh in zip(rhs.f_cosh, rhs.f_sinh)],
-                      M0, iw)
-        a = [z.real for z in trig]
-        b = [z.imag for z in trig]
-        c = [(s + t) / 2 for s, t in zip(sigma, delta)]
-        d = [(s - t) / 2 for s, t in zip(sigma, delta)]
+        k1, k2, k3 = 3 * iw / 2, iw ** 2, iw ** 3 / 4
+        a, b = [mpf(0)] * (M1 + 4), [mpf(0)] * (M1 + 4)
+        c, d = [mpf(0)] * (M0 + 4), [mpf(0)] * (M0 + 4)
+        for t in range(M1, 0, -1):
+            r11, r12 = k1 * (t + 1), k2 * ((t + 2) * (t + 1))
+            r13, s = k3 * ((t + 3) * (t + 2) * (t + 1)), k3 / t
+            n11, n12, n13 = -r11, -r12, -r13
+            a[t] = fdot(((n11, b[t + 1]), (r12, a[t + 2]), (r13, b[t + 3]), (-s, f_cos[t - 1])))
+            b[t] = fdot(((r11, a[t + 1]), (r12, b[t + 2]), (n13, a[t + 3]), (s, f_sin[t - 1])))
+            if t <= M0:
+                c[t] = fdot(((n11, d[t + 1]), (n12, c[t + 2]), (n13, d[t + 3]), (s, f_cosh[t - 1])))
+                d[t] = fdot(((n11, c[t + 1]), (n12, d[t + 2]), (n13, c[t + 3]), (s, f_sinh[t - 1])))
+        del a[M1 + 1:], b[M1 + 1:], c[M0 + 1:], d[M0 + 1:]
     a[0], b[0], c[0], d[0] = closure_index0(spec, n, a, b, c, d, moments, ctx)
     return tuple(a), tuple(b), tuple(c), tuple(d)

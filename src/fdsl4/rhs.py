@@ -9,10 +9,11 @@ Every term lives in the mixed basis, so F is four dense coefficient families
     F = sum_t x^t (f_cos[t] cos + f_sin[t] sin)    t = 0 .. M(j+1)-1
       + sum_t x^t (f_cosh[t] cosh + f_sinh[t] sinh)  t = 0 .. M(j)-1
 
-(arguments pi n x / X throughout).  :func:`build_rhs` forms them in three
-parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; a
-polynomial convolution applies q0, q1 and q2; the eigenvalue sum adds the
-earlier corrections.  The newest correction lambda^(j+1) is not known yet: it
+(arguments pi n x / X throughout).  :func:`build_rhs` forms them in two
+parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; then
+each coefficient, the polynomial convolution with q0, q1 and q2 plus the
+eigenvalue sum over the earlier corrections, is one exactly rounded dot
+product (``mp.fdot``).  The newest correction lambda^(j+1) is not known yet: it
 is minus the projection of F onto the base eigenfunction (solvability), and
 since u^(0) is a multiple of sin it enters through f_sin[0] alone.
 """
@@ -62,26 +63,20 @@ def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
         u0 = (u.a, u.b, u.c, u.d)
         u1 = _differentiate(u0, w)
         u2 = _differentiate(u1, w)
+        # each F[k] is one dot product of the pairs in its row: -q_t against
+        # u, u', u'' at power k - t, and lambda^(j+1-s) against u^(s) at k
+        summands = [(-qt, t, arrays)
+                    for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2))
+                    for t, qt in enumerate(q.coeffs) if qt]
+        summands += [(lambdas[j + 1 - s], 0, (terms[s].a, terms[s].b, terms[s].c, terms[s].d))
+                     for s in range(1, j + 1)]
         # ordered like the term arrays: sin, cos, sinh, cosh
-        f = ([mpf(0)] * M1, [mpf(0)] * M1, [mpf(0)] * M0, [mpf(0)] * M0)
-
-        # -q0*u - q1*u' - q2*u'': power t of q times power p of the arrays
-        for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2)):
-            for t, qt in enumerate(q.coeffs):
-                if not qt:
-                    continue
-                for out, arr in zip(f, arrays):
-                    for p, v in enumerate(arr):
-                        out[p + t] -= qt * v
-
-        for s in range(1, j + 1):
-            lam = lambdas[j + 1 - s]
-            term = terms[s]
-            for out, arr in zip(f, (term.a, term.b, term.c, term.d)):
+        rows = tuple([[] for _ in range(size)] for size in (M1, M1, M0, M0))
+        for coeff, shift, arrays in summands:
+            for family, arr in zip(rows, arrays):
                 for p, v in enumerate(arr):
-                    out[p] += lam * v
-
-        f_sin, f_cos, f_sinh, f_cosh = (tuple(arr) for arr in f)
+                    family[p + shift].append((coeff, v))
+        f_sin, f_cos, f_sinh, f_cosh = (tuple(map(mp.fdot, family)) for family in rows)
         return RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
                                f_cosh=f_cosh, f_sinh=f_sinh)
 

@@ -13,7 +13,9 @@ of the operator to the newest correction in the mixed basis
 (:func:`fdsl4.rhs.build_rhs`), project the result onto the base
 eigenfunction to get the next eigenvalue correction
 (:func:`lambda_correction`), and invert u'''' - lambda0 u with one scalar
-recurrence per exponent (:func:`fdsl4.recursion.solve_step`).
+recurrence per exponent (:func:`fdsl4.recursion.solve_step`).  Each
+coefficient these stages compute is one exactly rounded dot product
+(``mp.fdot``); the projection is one over all four families.
 """
 
 from __future__ import annotations
@@ -98,14 +100,14 @@ def lambda_correction(rhs: RhsCoefficients, table: MomentTable,
 
     Solvability of the step problem asks F + lambda^(j+1) u^(0) to be
     orthogonal to the normalized u^(0), so lambda^(j+1) = -<F, u^(0)>: the
-    moment table turns that inner product into one sum per basis family.
+    moment table turns that inner product into one dot product over the
+    four basis families.  A table shorter than F raises ``IndexError``.
     """
     with ctx.workprec():
-        ip = mpf(0)
-        for f, moment in ((rhs.f_sin, table.alpha), (rhs.f_cos, table.beta),
-                          (rhs.f_sinh, table.mu), (rhs.f_cosh, table.eta)):
-            for t, v in enumerate(f):
-                ip += v * moment[t]
+        ip = mp.fdot((v, moment[t])
+                     for f, moment in ((rhs.f_sin, table.alpha), (rhs.f_cos, table.beta),
+                                       (rhs.f_sinh, table.mu), (rhs.f_cosh, table.eta))
+                     for t, v in enumerate(f))
         return -mp.sqrt(2 / table.X) * ip
 
 

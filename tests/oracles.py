@@ -5,19 +5,60 @@ summation instead of Horner, the literal multi-index product expansion of the
 coefficient recurrence in the paper's 2x2 matrix form instead of the scalar
 walks, the scalar power-matching relations instead of the walks, a closed-form
 eigenvalue correction instead of the moment-table projection, the
-closed-form moment sums instead of the exponential-moment recurrences, and
-the majorant-chain envelope of the eigenvalue corrections.
+closed-form moment sums instead of the exponential-moment recurrences,
+sequential multiply-adds instead of one dot product per right-hand-side
+coefficient, and the majorant-chain envelope of the eigenvalue corrections.
 """
 
 import itertools
 
 from mpmath import mp, mpf
 
+from fdsl4.corrections import _differentiate
+from fdsl4.rhs import RhsCoefficients
 from fdsl4.spectral import MomentTable
 
 def naive_poly_eval(coeffs, x):
     """Term-by-term power sum, no Horner."""
     return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
+    """F of :func:`fdsl4.rhs.build_rhs` by one rounded multiply-add per summand.
+
+    With ``absolute`` every summand enters by its absolute value, giving the
+    size of the sum behind each coefficient.
+    """
+    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    size = abs if absolute else (lambda v: v)
+    with ctx.workprec():
+        w = mp.pi * n / spec.X
+        u = terms[j]
+        u0 = (u.a, u.b, u.c, u.d)
+        u1 = _differentiate(u0, w)
+        u2 = _differentiate(u1, w)
+        # ordered like the term arrays: sin, cos, sinh, cosh
+        f = ([mpf(0)] * M1, [mpf(0)] * M1, [mpf(0)] * M0, [mpf(0)] * M0)
+
+        # -q0*u - q1*u' - q2*u'': power t of q times power p of the arrays
+        for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2)):
+            for t, qt in enumerate(q.coeffs):
+                if not qt:
+                    continue
+                for out, arr in zip(f, arrays):
+                    for p, v in enumerate(arr):
+                        out[p + t] += size(-qt * v)
+
+        for s in range(1, j + 1):
+            lam = lambdas[j + 1 - s]
+            term = terms[s]
+            for out, arr in zip(f, (term.a, term.b, term.c, term.d)):
+                for p, v in enumerate(arr):
+                    out[p] += size(lam * v)
+
+        f_sin, f_cos, f_sinh, f_cosh = (tuple(arr) for arr in f)
+        return RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
+                               f_cosh=f_cosh, f_sinh=f_sinh)
 
 
 # --- the paper's (2x1)-vector / (2x2)-matrix form of the step recurrence ----
@@ -160,20 +201,19 @@ def power_matching_mismatch(spec, term, rhs, ctx, relative=False):
     equation t = 0 .. (budget - 1), the top three included, with the
     coefficients above the budget read as zero.  Checks all four families.
     With ``relative`` each equation's gap is divided by the sum of the
-    absolute values of its summands, each coefficient counted at the size
-    |P[k]| + |Q[k]| of its pair: the walks round the two together.
+    absolute values of its summands.
     """
     with ctx.workprec():
         w = mp.pi * term.n / term.X
         worst = mpf(0)
         for p_name, q_name, f_name, signs in _EQUATIONS:
             P, Q = (getattr(term, k) + (mpf(0),) * 4 for k in (p_name, q_name))
-            pair = [abs(p) + abs(q) for p, q in zip(P, Q)]
+            sizes = [abs(v) for v in P], [abs(v) for v in Q]
             f = getattr(rhs, f_name)
             for t in range(max(len(P) - 5, len(f))):
                 gap = abs(_power_row(P, Q, t, w, signs) - _at(f, t))
                 if relative and gap:
-                    gap /= _power_row(pair, pair, t, w, (1, 1, 1)) + abs(_at(f, t))
+                    gap /= _power_row(*sizes, t, w, (1, 1, 1)) + abs(_at(f, t))
                 worst = max(worst, gap)
         return worst
 

@@ -111,6 +111,7 @@ def test_sweep_rejects_bad_rank(capsys):
     (("solve", "--print-digits", "0"), "--print-digits"),
     (("solve", "--print-digits", "-3"), "--print-digits"),
     (("sweep", "--print-digits", "x"), "--print-digits"),
+    (("oracle", "--oracle-digits", "5"), "--oracle-digits"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv, "--problem", B2, "--digits", "60")
@@ -138,12 +139,14 @@ def test_check_benchmark2_n2_met(capsys):
 
 
 def test_oracle_zero_potentials(capsys):
-    code, out, _ = run(capsys, "oracle", "--problem", ZERO, "--n", "1,2",
-                       "--m", "2", "--digits", "60", "--basis-size", "24",
-                       "--oracle-digits", "40")
-    assert code == 0
-    rows = [ln.split() for ln in out.splitlines()[1:] if ln.strip()]
-    assert all(int(row[-1]) >= 15 for row in rows)
+    # both sides are exact here, so the agreement is the full oracle precision
+    for oracle_digits in (40, 60):
+        code, out, _ = run(capsys, "oracle", "--problem", ZERO, "--n", "1,2",
+                           "--m", "2", "--digits", "60", "--basis-size", "24",
+                           "--oracle-digits", str(oracle_digits))
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[1:] if ln.strip()]
+        assert [int(row[-1]) for row in rows] == [oracle_digits] * 2
 
 
 def test_sweep_error_column_decays_log_linearly(capsys, tmp_path):

@@ -122,6 +122,37 @@ def test_closure_zero_arrays(x_potential):
         assert all(v == 0 for v in vals)
 
 
+def test_closure_rejects_short_table(benchmark1):
+    # the closure of step 2 reads the table up to power M(2): a table one
+    # power short must raise rather than drop the top summands
+    sol = solve(benchmark1, 1, 2, CTX)
+    term = sol.terms[2]
+    arrays = (term.a, term.b, term.c, term.d)
+    top = len(term.a) - 1
+    assert top == benchmark1.budget.M(2) and len(term.c) > 1
+    closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top, CTX), CTX)
+    with pytest.raises(IndexError):
+        closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top - 1, CTX), CTX)
+
+
+def test_hyperbolic_rows_keep_relative_accuracy():
+    # f_sinh 300 orders above f_sinh[1] and f_cosh = 0: the c and d rows
+    # give c[1] = -r11 d[2] = -3 d[2] / w to rounding, although |c[1]| is
+    # 1e-309 of |d[0]|
+    spec = ProblemSpec.make("0.5", [0, 1], [0], [0], CTX)
+    n, j = 1, 1
+    table = moments(n, spec.X, spec.budget.M(j + 1), CTX)
+    with CTX.workprec():
+        trig = (mpf(0),) * spec.budget.M(j + 1)
+        rhs = RhsCoefficients(n=n, j=j, f_cos=trig, f_sin=trig, f_cosh=(mpf(0),) * 2,
+                              f_sinh=(mpf(1), mpf("2.2e-309")))
+    _, _, c, d = solve_step(spec, n, j, rhs, table, CTX)
+    with CTX.workprec():
+        w = mp.pi * n / spec.X
+        assert d[2] != 0
+        assert abs(c[1] + 3 * d[2] / w) <= mpf(10) ** -(CTX.digits - 10) * abs(c[1])
+
+
 def test_iteration_matches_product_expansion(benchmark1):
     # the literal product-sum expansion of the paper's 2x2 form must agree
     # with the scalar walks
@@ -180,19 +211,13 @@ def _size_derivative(arrays, w):
 
 
 def _boundary_defects(term, ctx):
-    """|u(x)|, |u''(x)| at x = 0, X, each over the sum of |summands| in it.
-
-    Each coefficient counts at the size of its (a, b) or (c, d) pair, as in
-    the relative power-matching check.
-    """
+    """|u(x)|, |u''(x)| at x = 0, X, each over the sum of |summands| in it."""
     with ctx.workprec():
         w = mp.pi * term.n / term.X
-        trig = tuple(abs(p) + abs(q) for p, q in zip(term.a, term.b))
-        hyp = tuple(abs(p) + abs(q) for p, q in zip(term.c, term.d))
         defects = []
         for x in (mpf(0), term.X):
             basis = tuple(abs(v) for v in basis_values(term.n, term.X, x, ctx))
-            sizes = (trig, trig, hyp, hyp)
+            sizes = tuple(tuple(abs(v) for v in arr) for arr in (term.a, term.b, term.c, term.d))
             for order in (0, 2):
                 if order:
                     sizes = _size_derivative(_size_derivative(sizes, w), w)
@@ -208,8 +233,8 @@ def _boundary_defects(term, ctx):
        st.integers(min_value=0, max_value=4),
        st.randoms(use_true_random=False))
 def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
-    # independent random f_sinh and f_cosh drive the c + d and c - d walks
-    # apart, which F from solve never does.  Entries lie on a 1e-6 grid in
+    # independent random f_sinh and f_cosh drive the c and d rows apart,
+    # which F from solve never does.  Entries lie on a 1e-6 grid in
     # [-1, 1]: adding lambda u0 may cancel f_sin[0] almost entirely, and u''(X)
     # then carries that rounding, relative to the entries before the cancellation
     spec = ProblemSpec.make(X, [0] * r + [1], [0], [0], CTX)

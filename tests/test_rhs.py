@@ -1,16 +1,20 @@
-"""Grouped right-hand-side coefficients: hand values, reconstruction, solvability."""
+"""Grouped right-hand-side coefficients: hand values, reconstruction, solvability,
+and the dot products against the sequential multiply-add oracle."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, ProblemSpec, base_pair, eval_term,
-                   lambda_correction, moments, solve)
+from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
+                   eval_term, lambda_correction, moments, solve)
 from fdsl4.problem import poly_eval
 from fdsl4.rhs import MissingHistoryError, add_base_term, build_rhs, eval_rhs
 
 from .conftest import step_rhs
+from .oracles import sequential_rhs
 
 CTX = PrecisionContext(digits=120)
 
@@ -136,3 +140,58 @@ def test_solvability_by_quadrature(benchmark1):
         lambda x: eval_rhs(rhs, spec, x, CTX) * eval_term(base, x, ctx=CTX), CTX)
     with CTX.workprec():
         assert abs(ip + lam1) < mpf(10) ** -100
+
+
+FAMILIES = ("f_sin", "f_cos", "f_sinh", "f_cosh")
+
+
+def _assert_matches_sequential(spec, n, j, terms, lambdas, ctx):
+    """Every F coefficient equals the sequential sum within 10^-(digits-10)
+    of the sum of the absolute values of its summands."""
+    got = build_rhs(spec, n, j, terms, lambdas, ctx)
+    want = sequential_rhs(spec, n, j, terms, lambdas, ctx)
+    size = sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=True)
+    with ctx.workprec():
+        tol = mpf(10) ** -(ctx.digits - 10)
+        for family in FAMILIES:
+            g, w, s = getattr(got, family), getattr(want, family), getattr(size, family)
+            assert len(g) == len(w) == len(s), family
+            for k, (gk, wk, sk) in enumerate(zip(g, w, s)):
+                assert abs(gk - wk) <= tol * sk, f"{family}[{k}] at step {j + 1}"
+
+
+def test_dot_products_match_sequential_benchmark1(benchmark1, b1_solutions_m20, ctx300):
+    for n in (1, 8):
+        sol = b1_solutions_m20[n]
+        lambdas = (sol.lambda0,) + sol.lambda_corrections
+        for j in range(20):
+            _assert_matches_sequential(benchmark1, n, j, sol.terms, lambdas, ctx300)
+
+
+def _random_entries(rng, size):
+    # a grid value times a random power of ten, so that summands cancel
+    return tuple(mpf(rng.randint(-10 ** 6, 10 ** 6)) / 10 ** 6 * mpf(10) ** rng.randint(-30, 30)
+                 for _ in range(size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["0.5", "1", "2", "5"]),
+       st.integers(min_value=1, max_value=50),
+       st.integers(min_value=0, max_value=4),
+       st.randoms(use_true_random=False))
+def test_dot_products_match_sequential_random(X, n, j, rng):
+    # random potentials of degree 0..3 (zero coefficients skipped) and a
+    # random history: terms 1..j with budget-sized arrays, random eigenvalues
+    with CTX.workprec():
+        q0, q1, q2 = ([_random_entries(rng, 1)[0] if rng.random() < 0.8 else 0
+                       for _ in range(rng.randint(1, 4))] for _ in range(3))
+    spec = ProblemSpec.make(X, q0, q1, q2, CTX)
+    term0, lam0 = base_pair(spec, n, CTX)
+    terms, budget = [term0], spec.budget
+    with CTX.workprec():
+        for s in range(1, j + 1):
+            a, b = (_random_entries(rng, budget.M(s) + 1) for _ in range(2))
+            c, d = (_random_entries(rng, budget.M(s - 1) + 1) for _ in range(2))
+            terms.append(CorrectionTerm(j=s, n=n, X=spec.X, a=a, b=b, c=c, d=d))
+        lambdas = (lam0,) + _random_entries(rng, j)
+    _assert_matches_sequential(spec, n, j, terms, lambdas, CTX)

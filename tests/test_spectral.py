@@ -197,6 +197,31 @@ def test_solve_sizes_table_to_top_power(benchmark1, x_potential, monkeypatch):
         solve(benchmark1, 1, 3, CTX)
 
 
+def test_lambda_correction_rejects_short_table(benchmark1):
+    # F of step 2 reaches power M(2) - 1: a table that stops one power short
+    # must raise rather than drop the top summands
+    sol = solve(benchmark1, 1, 1, CTX)
+    lambdas = (sol.lambda0,) + sol.lambda_corrections
+    rhs = build_rhs(benchmark1, 1, 1, sol.terms, lambdas, CTX)
+    top = len(rhs.f_sin) - 1
+    assert top == benchmark1.budget.M(2) - 1
+    lambda_correction(rhs, moments(1, benchmark1.X, top, CTX), CTX)
+    with pytest.raises(IndexError):
+        lambda_correction(rhs, moments(1, benchmark1.X, top - 1, CTX), CTX)
+
+
+def test_300_digits_match_600_digit_run(b1_solutions_m20, b2_solutions_m10):
+    # rounding of the whole solve at 300 digits, against a 600-digit replay
+    ctx600 = PrecisionContext(digits=600)
+    cases = ((ProblemSpec.make(5, ["-0.02", 0, 0, 0, "0.0001"], [0, "-0.04"],
+                               [0, 0, "-0.02"], ctx600), b1_solutions_m20[1], "1e-254"),
+             (ProblemSpec.make(1, [0, 1], [0], [0], ctx600), b2_solutions_m10[50], "1e-265"))
+    for spec, sol, bound in cases:
+        ref = solve(spec, sol.n, sol.m, ctx600).lambda_approx
+        with ctx600.workprec():
+            assert abs(sol.lambda_approx - ref) / ref < mpf(bound), (sol.n, sol.m)
+
+
 def test_solve_zero_potentials():
     spec = ProblemSpec.make(2, [0, 0], [0, 0], [0, 0], CTX)
     sol = solve(spec, 2, 5, CTX)
