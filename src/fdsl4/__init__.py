@@ -2,14 +2,13 @@
 coefficients, by an exponentially convergent functional-discrete correction
 series evaluated in arbitrary precision."""
 
-from .convergence import ConvergenceReport, convergence_report, error_bounds
+from .convergence import ConvergenceReport, convergence_report
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, eval_solution, eval_term
 from .numerics import PrecisionContext, matching_digits, stability_probe
 from .problem import Polynomial, ProblemSpec, StepBudget, load_problem, omega, parse_problem
 from .spectral import MomentTable, lambda_correction, moments, solve
-from .verify import (FixtureSet, GalerkinOracle, QuadratureRule, compare_to_fixture,
-                     galerkin_nearest_eigenvalue, load_fixtures, residual_norm,
-                     residual_sweep)
+from .verify import (FixtureSet, GalerkinOracle, QuadratureRule, galerkin_nearest_eigenvalue,
+                     load_fixtures, residual_norm, residual_sweep)
 
 __version__ = "0.1.0"
 
@@ -17,8 +16,7 @@ __all__ = [
     "ConvergenceReport", "CorrectionTerm", "FDSolution", "FixtureSet",
     "GalerkinOracle", "MomentTable", "Polynomial",
     "PrecisionContext", "ProblemSpec", "QuadratureRule", "StepBudget",
-    "assemble", "base_pair", "compare_to_fixture",
-    "convergence_report", "error_bounds", "eval_solution",
+    "assemble", "base_pair", "convergence_report", "eval_solution",
     "eval_term", "galerkin_nearest_eigenvalue", "lambda_correction",
     "load_fixtures", "load_problem", "matching_digits", "moments",
     "omega", "parse_problem",

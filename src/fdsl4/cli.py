@@ -24,12 +24,11 @@ import sys
 from mpmath import mp
 
 from .convergence import convergence_report
-from .corrections import solution_to_payload
+from .corrections import lambda_partials, solution_to_payload
 from .numerics import PrecisionContext, matching_digits, stability_probe
 from .problem import ProblemFormatError, load_problem
 from .spectral import solve
-from .verify import (OracleConvergenceError, _lambda_partials,
-                     galerkin_nearest_eigenvalue, residual_sweep)
+from .verify import OracleConvergenceError, galerkin_nearest_eigenvalue, residual_sweep
 
 DEFAULT_PRINT_DIGITS = 50
 
@@ -136,7 +135,7 @@ def cmd_sweep(args, spec, ctx) -> int:
         sol = solve(spec, n, args.m_max, ctx)
         deltas = residual_sweep(sol, spec, ctx)
         report = convergence_report(spec, n, ctx)
-        lambdas = _lambda_partials(sol, ctx)
+        lambdas = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
         for m in range(args.m_max + 1):
             bound = report.lambda_bound(m)
             rows.append([

@@ -59,18 +59,8 @@ class ConvergenceReport:
 
 
 def constant_Mn(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> mpf:
-    """Contraction constant M_n of the majorant recurrence.
-
-    M_n = (X^2/pi^2) * omega/(2n^2-2n+1) * [n + X/pi + X^2/(n pi^2)] * max(1, 2/X).
-    """
-    if n < 1:
-        raise ValueError("eigenpair index must be >= 1")
-    with ctx.workprec():
-        X = spec.X
-        om = omega(spec, ctx)
-        bracket = n + X / mp.pi + X ** 2 / (n * mp.pi ** 2)
-        return (X ** 2 / mp.pi ** 2) * om / (2 * n * n - 2 * n + 1) * bracket \
-            * max(mpf(1), 2 / X)
+    """Contraction constant M_n of the majorant recurrence (see :func:`convergence_report`)."""
+    return convergence_report(spec, n, ctx).M_n
 
 
 def majorant(j: int) -> int:
@@ -85,22 +75,18 @@ def majorant(j: int) -> int:
 
 
 def convergence_report(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> ConvergenceReport:
+    """Diagnostics for eigenpair index n, with the contraction constant
+
+        M_n = (X^2/pi^2) * omega/(2n^2-2n+1) * [n + X/pi + X^2/(n pi^2)] * max(1, 2/X).
+    """
+    if n < 1:
+        raise ValueError("eigenpair index must be >= 1")
     with ctx.workprec():
+        X = spec.X
         om = omega(spec, ctx)
-        Mn = constant_Mn(spec, n, ctx)
+        bracket = n + X / mp.pi + X ** 2 / (n * mp.pi ** 2)
+        Mn = (X ** 2 / mp.pi ** 2) * om / (2 * n * n - 2 * n + 1) * bracket \
+            * max(mpf(1), 2 / X)
         rn = 4 * Mn
         return ConvergenceReport(n=n, X=spec.X, omega=om, M_n=Mn, r_n=rn,
                                  converges=bool(rn < 1), digits=ctx.digits)
-
-
-def error_bounds(report: ConvergenceReport, m: int):
-    """(eigenvalue bound, eigenfunction bound) for rank m, or None.
-
-    None signals "sufficient condition not met" (or m = 0); the method may
-    still converge, the certificate just does not apply.
-    """
-    lb = report.lambda_bound(m)
-    ub = report.u_bound(m)
-    if lb is None or ub is None:
-        return None
-    return lb, ub

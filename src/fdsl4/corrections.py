@@ -143,15 +143,20 @@ def assemble(terms, lambda_values, m: int, ctx: PrecisionContext) -> FDSolution:
     lambda_values = tuple(lambda_values)
     if len(terms) < m + 1 or len(lambda_values) < m + 1:
         raise ValueError(f"need {m + 1} terms and eigenvalue entries for rank {m}")
+    return FDSolution(n=terms[0].n, m=m, X=terms[0].X,
+                      lambda0=lambda_values[0],
+                      lambda_corrections=lambda_values[1:m + 1],
+                      terms=terms[:m + 1],
+                      lambda_approx=lambda_partials(lambda_values[:m + 1], ctx)[-1])
+
+
+def lambda_partials(lambda_values, ctx: PrecisionContext) -> list:
+    """Rank-k eigenvalues lambda0 + ... + lambda^(k) from [lambda0, lambda^(1), ...]."""
     with ctx.workprec():
-        lam = mpf(0)
-        for v in lambda_values[:m + 1]:
-            lam += v
-        return FDSolution(n=terms[0].n, m=m, X=terms[0].X,
-                          lambda0=lambda_values[0],
-                          lambda_corrections=lambda_values[1:m + 1],
-                          terms=terms[:m + 1],
-                          lambda_approx=lam)
+        partials = [lambda_values[0]]
+        for v in lambda_values[1:]:
+            partials.append(partials[-1] + v)
+        return partials
 
 
 def eval_solution(sol: FDSolution, x, deriv: int = 0, *,

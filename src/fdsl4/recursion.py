@@ -10,6 +10,7 @@ x^t e^(zeta w x) obeys
     r11 = 3 iw (t+1) / 2,   r12 = iw^2 (t+2)(t+1),
     r13 = iw^3 (t+3)(t+2)(t+1) / 4,   s = iw^3 / (4 t).
 
+With F = (f_sin, f_cos, f_sinh, f_cosh) from :func:`fdsl4.rhs.build_rhs`,
 zeta = i on Z = a + i b, F = -f_cos + i f_sin gives the a and b rows as its
 real and imaginary parts; zeta = -1 on c + d and zeta = +1 on c - d, driven
 by f_cosh + f_sinh and f_cosh - f_sinh, add and subtract to the c and d rows:
@@ -23,8 +24,9 @@ Each row is one exactly rounded dot product of four pairs (``mp.fdot``).  The
 coefficients above the budgets, M(j+1) for a, b and M(j) for c, d, are zero,
 so one downward loop starts from three zero rows and runs to power 1.
 Power 0 spans the kernel of u'''' - lambda0 u; it is closed from the boundary
-conditions plus orthogonality against the base eigenfunction, whose sums over
-the powers are dot products too.
+conditions (dot products against X^t) plus orthogonality against the base
+eigenfunction, the projection that also gives lambda^(j+1)
+(:meth:`fdsl4.spectral.MomentTable.project`).
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ from mpmath import mp, mpf
 
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
-from .rhs import RhsCoefficients
 
 if TYPE_CHECKING:  # avoid an import cycle with the orchestration module
     from .spectral import MomentTable
-
-
-def _pairs(weights, arr) -> list:
-    """(weights[t], arr[t]) for t = 1 .. len(arr)-1; a short ``weights`` raises."""
-    return [(weights[t], arr[t]) for t in range(1, len(arr))]
 
 
 def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
@@ -71,18 +67,17 @@ def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
         cos_pn = mpf(-1) ** n
         sinh_pn = mp.sinh(mp.pi * n)
         cosh_pn = mp.cosh(mp.pi * n)
-        b_sum = b0 + mp.fdot(_pairs(powers, b))
-        d_sum = d0 + mp.fdot(_pairs(powers, d))
-        c0 = -(b_sum * cos_pn + d_sum * cosh_pn) / sinh_pn - mp.fdot(_pairs(powers, c))
+        b_sum = b0 + mp.fdot(zip(powers[1:], b[1:]))
+        d_sum = d0 + mp.fdot(zip(powers[1:], d[1:]))
+        c0 = -(b_sum * cos_pn + d_sum * cosh_pn) / sinh_pn - mp.fdot(zip(powers[1:], c[1:]))
 
-        ortho = mp.fdot(_pairs(moments.alpha, a) + _pairs(moments.beta, b)
-                        + _pairs(moments.mu, c) + _pairs(moments.eta, d)
-                        + [(moments.mu[0], c0), (moments.eta[0], d0)])
+        # a0 is the unknown that alpha[0] multiplies, and beta[0] = 0
+        ortho = moments.project(((0, *a[1:]), (0, *b[1:]), (c0, *c[1:]), (d0, *d[1:])))
         a0 = -2 / X * ortho
         return a0, b0, c0, d0
 
 
-def solve_step(spec: ProblemSpec, n: int, j: int, rhs: RhsCoefficients,
+def solve_step(spec: ProblemSpec, n: int, j: int, rhs: tuple,
                moments: "MomentTable", ctx: PrecisionContext):
     """All four coefficient arrays of the step-(j+1) correction.
 
@@ -91,7 +86,7 @@ def solve_step(spec: ProblemSpec, n: int, j: int, rhs: RhsCoefficients,
     tuples with trig length M(j+1)+1 and hyperbolic length M(j)+1.
     """
     M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
-    f_cos, f_sin, f_cosh, f_sinh = rhs.f_cos, rhs.f_sin, rhs.f_cosh, rhs.f_sinh
+    f_sin, f_cos, f_sinh, f_cosh = rhs
     fdot = mp.fdot
     with ctx.workprec():
         iw = spec.X / (mp.pi * n)

@@ -4,27 +4,28 @@ Step j+1 of the method solves  u'''' - lambda0 u = F + lambda^(j+1) u^(0)  where
 
     F = sum_{s=1..j} lambda^(j+1-s) u^(s)  -  q2 u^(j)'' - q1 u^(j)' - q0 u^(j).
 
-Every term lives in the mixed basis, so F is four dense coefficient families
+Every term lives in the mixed basis, so F is a series of the same kind as
+u^(j): the four coefficient arrays (f_sin, f_cos, f_sinh, f_cosh), in the
+order of the term arrays (a, b, c, d), of
 
-    F = sum_t x^t (f_cos[t] cos + f_sin[t] sin)    t = 0 .. M(j+1)-1
-      + sum_t x^t (f_cosh[t] cosh + f_sinh[t] sinh)  t = 0 .. M(j)-1
+    F = sum_t x^t (f_sin[t] sin + f_cos[t] cos)      t = 0 .. M(j+1)-1
+      + sum_t x^t (f_sinh[t] sinh + f_cosh[t] cosh)  t = 0 .. M(j)-1
 
 (arguments pi n x / X throughout).  :func:`build_rhs` forms them in two
 parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; then
 each coefficient, the polynomial convolution with q0, q1 and q2 plus the
 eigenvalue sum over the earlier corrections, is one exactly rounded dot
 product (``mp.fdot``).  The newest correction lambda^(j+1) is not known yet: it
-is minus the projection of F onto the base eigenfunction (solvability), and
-since u^(0) is a multiple of sin it enters through f_sin[0] alone.
+is minus the projection of F onto the base eigenfunction
+(:meth:`fdsl4.spectral.MomentTable.project`), and since u^(0) is a multiple
+of sin it enters through f_sin[0] alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from mpmath import mp
 
-from mpmath import mp, mpf
-
-from .corrections import CorrectionTerm, _differentiate, _eval_arrays, basis_values
+from .corrections import CorrectionTerm, _differentiate
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
 
@@ -33,21 +34,10 @@ class MissingHistoryError(RuntimeError):
     """Raised when rhs assembly lacks the required earlier steps."""
 
 
-@dataclass(frozen=True)
-class RhsCoefficients:
-    """Coefficient arrays of F for step j+1 (j is the source step index)."""
-
-    n: int
-    j: int
-    f_cos: tuple   # 0 .. M(j+1)-1
-    f_sin: tuple
-    f_cosh: tuple  # 0 .. M(j)-1
-    f_sinh: tuple
-
-
 def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
-              ctx: PrecisionContext) -> RhsCoefficients:
-    """Coefficient arrays of F for step j+1, without the lambda^(j+1) u^(0) summand.
+              ctx: PrecisionContext) -> tuple:
+    """Arrays (f_sin, f_cos, f_sinh, f_cosh) of F for step j+1, without the
+    lambda^(j+1) u^(0) summand.
 
     ``terms`` must hold the corrections for steps 0..j and ``lambdas`` the
     eigenvalue values for steps 0..j (base first); later entries are ignored.
@@ -76,23 +66,11 @@ def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
             for family, arr in zip(rows, arrays):
                 for p, v in enumerate(arr):
                     family[p + shift].append((coeff, v))
-        f_sin, f_cos, f_sinh, f_cosh = (tuple(map(mp.fdot, family)) for family in rows)
-        return RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
-                               f_cosh=f_cosh, f_sinh=f_sinh)
+        return tuple(tuple(map(mp.fdot, family)) for family in rows)
 
 
-def add_base_term(rhs: RhsCoefficients, lam, base: CorrectionTerm,
-                  ctx: PrecisionContext) -> RhsCoefficients:
+def add_base_term(rhs: tuple, lam, base: CorrectionTerm, ctx: PrecisionContext) -> tuple:
     """F + lam * u^(0): the right-hand side that the step problem inverts."""
+    f_sin, f_cos, f_sinh, f_cosh = rhs
     with ctx.workprec():
-        return replace(rhs, f_sin=(rhs.f_sin[0] + lam * base.a[0],) + rhs.f_sin[1:])
-
-
-def eval_rhs(rhs: RhsCoefficients, spec: ProblemSpec, x, ctx: PrecisionContext,
-             basis=None) -> mpf:
-    """Pointwise value of F reconstructed from the coefficient arrays."""
-    with ctx.workprec():
-        x = mpf(x)
-        if basis is None:
-            basis = basis_values(rhs.n, spec.X, x, ctx)
-        return _eval_arrays((rhs.f_sin, rhs.f_cos, rhs.f_sinh, rhs.f_cosh), x, basis)
+        return (f_sin[0] + lam * base.a[0],) + f_sin[1:], f_cos, f_sinh, f_cosh

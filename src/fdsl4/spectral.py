@@ -13,9 +13,11 @@ of the operator to the newest correction in the mixed basis
 (:func:`fdsl4.rhs.build_rhs`), project the result onto the base
 eigenfunction to get the next eigenvalue correction
 (:func:`lambda_correction`), and invert u'''' - lambda0 u with one scalar
-recurrence per exponent (:func:`fdsl4.recursion.solve_step`).  Each
-coefficient these stages compute is one exactly rounded dot product
-(``mp.fdot``); the projection is one over all four families.
+recurrence per exponent (:func:`fdsl4.recursion.solve_step`).  F is the
+same (sin, cos, sinh, cosh) array tuple as a correction.  Each coefficient
+these stages compute is one exactly rounded dot product (``mp.fdot``); the
+projection that the eigenvalue correction and the closure share is
+:meth:`MomentTable.project`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import recursion
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
-from .rhs import RhsCoefficients, add_base_term, build_rhs
+from .rhs import add_base_term, build_rhs
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,16 @@ class MomentTable:
     beta: tuple   # integral of x^t sin(w x) cos(w x)
     eta: tuple    # integral of x^t sin(w x) cosh(w x)
     mu: tuple     # integral of x^t sin(w x) sinh(w x)
+
+    def project(self, arrays) -> mpf:
+        """Integral of the (sin, cos, sinh, cosh) series ``arrays`` times sin(w x).
+
+        One exactly rounded dot product at the caller's precision; a table
+        shorter than an array raises ``IndexError``.
+        """
+        columns = (self.alpha, self.beta, self.mu, self.eta)
+        return mp.fdot((v, column[t]) for arr, column in zip(arrays, columns)
+                       for t, v in enumerate(arr))
 
 
 def _exp_moments(Z, E, T: int) -> list:
@@ -94,21 +106,16 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
                            eta=tuple(eta), mu=tuple(mu))
 
 
-def lambda_correction(rhs: RhsCoefficients, table: MomentTable,
-                      ctx: PrecisionContext) -> mpf:
+def lambda_correction(rhs: tuple, table: MomentTable, ctx: PrecisionContext) -> mpf:
     """Eigenvalue correction lambda^(j+1) from F of :func:`build_rhs`.
 
     Solvability of the step problem asks F + lambda^(j+1) u^(0) to be
-    orthogonal to the normalized u^(0), so lambda^(j+1) = -<F, u^(0)>: the
-    moment table turns that inner product into one dot product over the
-    four basis families.  A table shorter than F raises ``IndexError``.
+    orthogonal to the normalized u^(0), so lambda^(j+1) = -<F, u^(0)>, the
+    moment-table projection of F times -sqrt(2/X).  A table shorter than F
+    raises ``IndexError``.
     """
     with ctx.workprec():
-        ip = mp.fdot((v, moment[t])
-                     for f, moment in ((rhs.f_sin, table.alpha), (rhs.f_cos, table.beta),
-                                       (rhs.f_sinh, table.mu), (rhs.f_cosh, table.eta))
-                     for t, v in enumerate(f))
-        return -mp.sqrt(2 / table.X) * ip
+        return -mp.sqrt(2 / table.X) * table.project(rhs)
 
 
 def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolution:

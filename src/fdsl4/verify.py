@@ -32,8 +32,9 @@ from importlib import resources
 
 from mpmath import mp, mpf
 
-from .corrections import FDSolution, _derivative_arrays, _eval_arrays, basis_values
-from .numerics import PrecisionContext, matching_digits
+from .corrections import (FDSolution, _derivative_arrays, _eval_arrays, basis_values,
+                          lambda_partials)
+from .numerics import PrecisionContext
 from .problem import ProblemSpec, poly_eval
 
 log = logging.getLogger(__name__)
@@ -136,15 +137,6 @@ def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
 
 # --- residual norms -----------------------------------------------------------
 
-def _lambda_partials(sol: FDSolution, ctx: PrecisionContext):
-    """Rank-k eigenvalues lambda0 + lambda^(1) + ... + lambda^(k), k = 0..m."""
-    with ctx.workprec():
-        parts = [sol.lambda0]
-        for v in sol.lambda_corrections:
-            parts.append(parts[-1] + v)
-        return parts
-
-
 def _term_arrays(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
     """Coefficient arrays (u, u'''', u'', u') of every term, for one pass.
 
@@ -191,7 +183,7 @@ def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
     """Integral of the squared residual for every rank 0..m at one panel count."""
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
-        lam = _lambda_partials(sol, ctx)
+        lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
         arrays = _term_arrays(sol, spec, ctx)
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):
@@ -275,26 +267,6 @@ def load_fixtures() -> FixtureSet:
             raise ValueError(f"unexpected data line outside a known section: {raw!r}")
     return FixtureSet(b1_exact=b1_exact, b1_fd_error=b1_err,
                       b2_rank10=b2_lam, b2_residual=b2_res)
-
-
-def compare_to_fixture(sol: FDSolution, fixtures: FixtureSet,
-                       ctx: PrecisionContext) -> dict:
-    """Digit agreement and error ratios against whichever fixtures apply."""
-    report: dict = {"n": sol.n, "m": sol.m}
-    with ctx.workprec():
-        if sol.X == 1 and sol.m == 10 and sol.n in fixtures.b2_rank10:
-            report["rank10_digits"] = matching_digits(
-                sol.lambda_approx, fixtures.b2_rank10[sol.n], ctx)
-        if sol.X == 5 and sol.n in fixtures.b1_exact:
-            exact = mpf(fixtures.b1_exact[sol.n])
-            err = abs(exact - sol.lambda_approx)
-            report["abs_error"] = err
-            key = (sol.n, sol.m)
-            if key in fixtures.b1_fd_error:
-                printed = mpf(fixtures.b1_fd_error[key])
-                report["printed_error"] = printed
-                report["error_ratio"] = err / printed if printed else mp.inf
-    return report
 
 
 # --- sine-Galerkin oracle -------------------------------------------------------

@@ -12,8 +12,10 @@ acceptance suite and several module tests share them.
 import random
 
 import pytest
+from mpmath import mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, residual_sweep, solve
+from fdsl4.corrections import _eval_arrays, basis_values
 from fdsl4.rhs import add_base_term, build_rhs
 
 B2_INDICES = (1, 2, 3, 4, 5, 10, 20, 50)
@@ -24,6 +26,13 @@ def step_rhs(spec, sol, j, ctx):
     lambdas = (sol.lambda0,) + sol.lambda_corrections
     rhs = build_rhs(spec, sol.n, j, sol.terms, lambdas, ctx)
     return add_base_term(rhs, lambdas[j + 1], sol.terms[0], ctx)
+
+
+def eval_series(arrays, n, X, x, ctx):
+    """Value at x of a (sin, cos, sinh, cosh) coefficient series such as F."""
+    with ctx.workprec():
+        x = mpf(x)
+        return _eval_arrays(arrays, x, basis_values(n, X, x, ctx))
 
 
 @pytest.fixture(scope="session")

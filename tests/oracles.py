@@ -15,7 +15,6 @@ import itertools
 from mpmath import mp, mpf
 
 from fdsl4.corrections import _differentiate
-from fdsl4.rhs import RhsCoefficients
 from fdsl4.spectral import MomentTable
 
 def naive_poly_eval(coeffs, x):
@@ -56,9 +55,7 @@ def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
                 for p, v in enumerate(arr):
                     out[p] += size(lam * v)
 
-        f_sin, f_cos, f_sinh, f_cosh = (tuple(arr) for arr in f)
-        return RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
-                               f_cosh=f_cosh, f_sinh=f_sinh)
+        return tuple(tuple(arr) for arr in f)
 
 
 # --- the paper's (2x1)-vector / (2x2)-matrix form of the step recurrence ----
@@ -102,10 +99,7 @@ def _transfer_matrices(spec, family, n, j, p, ctx):
 def _driving_vector(spec, family, rhs, n, j, p, ctx):
     """Inhomogeneous 2-vector F(p+3) of the recurrence."""
     M = _family_budget(spec, family, j)
-    if family == "trig":
-        f1, f2 = rhs.f_sin, rhs.f_cos
-    else:
-        f1, f2 = rhs.f_sinh, rhs.f_cosh
+    f1, f2 = rhs[:2] if family == "trig" else rhs[2:]
     with ctx.workprec():
         iw = spec.X / (mp.pi * n)
         scale = iw ** 3 / (4 * (M - p - 3))
@@ -180,10 +174,11 @@ def product_expansion_pair(spec, family, rhs, n, j, p, walked, ctx):
         return (total[0] + last[0], total[1] + last[1])
 
 
-# Power-matching equations: (array P, partner Q, rhs array, signs of the
-# 4w, 6w^2 and 4w^3 summands); equation t reads P and Q at powers t+1 .. t+4.
-_EQUATIONS = (("b", "a", "f_cos", (1, -1, -1)), ("a", "b", "f_sin", (-1, -1, 1)),
-              ("d", "c", "f_cosh", (1, 1, 1)), ("c", "d", "f_sinh", (1, 1, 1)))
+# Power-matching equations: (array P, partner Q, index of the rhs array in
+# (f_sin, f_cos, f_sinh, f_cosh), signs of the 4w, 6w^2 and 4w^3 summands);
+# equation t reads P and Q at powers t+1 .. t+4.
+_EQUATIONS = (("b", "a", 1, (1, -1, -1)), ("a", "b", 0, (-1, -1, 1)),
+              ("d", "c", 3, (1, 1, 1)), ("c", "d", 2, (1, 1, 1)))
 
 
 def _power_row(P, Q, t, w, signs):
@@ -206,10 +201,10 @@ def power_matching_mismatch(spec, term, rhs, ctx, relative=False):
     with ctx.workprec():
         w = mp.pi * term.n / term.X
         worst = mpf(0)
-        for p_name, q_name, f_name, signs in _EQUATIONS:
+        for p_name, q_name, f_index, signs in _EQUATIONS:
             P, Q = (getattr(term, k) + (mpf(0),) * 4 for k in (p_name, q_name))
             sizes = [abs(v) for v in P], [abs(v) for v in Q]
-            f = getattr(rhs, f_name)
+            f = rhs[f_index]
             for t in range(max(len(P) - 5, len(f))):
                 gap = abs(_power_row(P, Q, t, w, signs) - _at(f, t))
                 if relative and gap:

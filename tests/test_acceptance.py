@@ -14,10 +14,9 @@ from fdsl4 import (PrecisionContext, assemble, eval_term,
                    galerkin_nearest_eigenvalue, load_fixtures, moments,
                    residual_sweep, solve)
 from fdsl4.convergence import constant_Mn, convergence_report, majorant
-from fdsl4.rhs import eval_rhs
 from fdsl4.spectral import lambda_correction
 
-from .conftest import B2_INDICES, step_rhs
+from .conftest import B2_INDICES, eval_series, step_rhs
 from .oracles import (least_squares_slope, power_matching_mismatch,
                       product_expansion_pair, term_pairs,
                       x_potential_second_correction)
@@ -200,7 +199,7 @@ def _property_defects(spec, n, m, ctx):
                 x = spec.X * mpf(rng.random())
                 lhs = eval_term(term, x, 4, ctx=ctx) \
                     - sol.lambda0 * eval_term(term, x, ctx=ctx)
-                ode = max(ode, abs(lhs - eval_rhs(step, spec, x, ctx)))
+                ode = max(ode, abs(lhs - eval_series(step, n, spec.X, x, ctx)))
         return {"boundary": bc, "orthogonality": ortho,
                 "solvability": solv, "ode_residual": ode, "power_matching": powers}
 

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mpf
 
-from fdsl4 import PrecisionContext, ProblemSpec, convergence_report, error_bounds
+from fdsl4 import PrecisionContext, ProblemSpec, convergence_report
 from fdsl4.convergence import constant_Mn, majorant
 
 CTX = PrecisionContext(digits=60)
@@ -66,7 +66,7 @@ def test_error_bounds_monotone(benchmark1):
     with CTX.workprec():
         prev = None
         for m in range(1, 25):
-            lb, ub = error_bounds(report, m)
+            lb, ub = report.lambda_bound(m), report.u_bound(m)
             assert lb > 0 and ub > 0
             if prev is not None:
                 assert lb < prev[0] and ub < prev[1]
@@ -77,15 +77,16 @@ def test_error_bounds_shrink_with_ratio(benchmark1):
     # bounds vanish as the ratio goes to zero (far tail of the index range)
     with CTX.workprec():
         small = convergence_report(benchmark1, 200, CTX)
-        lb, ub = error_bounds(small, 10)
+        lb, ub = small.lambda_bound(10), small.u_bound(10)
         assert lb < mpf("1e-20") and ub < mpf("1e-25")
 
 
 def test_bounds_not_applicable(benchmark1, benchmark2):
-    assert error_bounds(convergence_report(benchmark1, 1, CTX), 10) is None
-    assert error_bounds(convergence_report(benchmark2, 1, CTX), 10) is None
-    # degenerate denominator at rank 0
-    assert error_bounds(convergence_report(benchmark1, 3, CTX), 0) is None
+    for report, m in ((convergence_report(benchmark1, 1, CTX), 10),
+                      (convergence_report(benchmark2, 1, CTX), 10),
+                      # degenerate denominator at rank 0
+                      (convergence_report(benchmark1, 3, CTX), 0)):
+        assert report.lambda_bound(m) is None and report.u_bound(m) is None
 
 
 def test_lambda_bound_dominates_observed_benchmark1(benchmark1, ctx120):

@@ -1,4 +1,5 @@
-"""Public names: everything exported resolves, and the demos import only live names.
+"""Public names: everything exported resolves, the demos import only live names,
+and no library module keeps an import it does not use.
 
 The demos are not run by the suite, so their imports are read with ``ast``.
 """
@@ -50,3 +51,32 @@ def test_demo_imports_exist():
             if name is not None and not hasattr(mod, name):
                 missing.append(f"{demo.name}: {module}.{name}")
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads, string annotations included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    package = Path(fdsl4.__file__).resolve().parent
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    assert [hit for path in modules for hit in _unused_imports(path)] == []

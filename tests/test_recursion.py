@@ -12,9 +12,9 @@ from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
                    eval_term, lambda_correction, moments, solve)
 from fdsl4.corrections import _eval_arrays, basis_values
 from fdsl4.recursion import closure_index0, solve_step
-from fdsl4.rhs import RhsCoefficients, add_base_term, build_rhs, eval_rhs
+from fdsl4.rhs import add_base_term, build_rhs
 
-from .conftest import step_rhs
+from .conftest import eval_series, step_rhs
 from .oracles import power_matching_mismatch, product_expansion_pair, term_pairs
 
 CTX = PrecisionContext(digits=120)
@@ -51,8 +51,7 @@ def test_x_potential_top_coeffs(x_potential):
 
 
 def test_zero_rhs_gives_zero_rows(x_potential):
-    zero = RhsCoefficients(n=1, j=0, f_cos=(mpf(0),) * 2, f_sin=(mpf(0),) * 2,
-                           f_cosh=(), f_sinh=())
+    zero = ((mpf(0),) * 2, (mpf(0),) * 2, (), ())
     table = moments(1, x_potential.X, x_potential.budget.M(1), CTX)
     arrays = solve_step(x_potential, 1, 0, zero, table, CTX)
     assert all(v == 0 for arr in arrays for v in arr[1:])
@@ -144,8 +143,7 @@ def test_hyperbolic_rows_keep_relative_accuracy():
     table = moments(n, spec.X, spec.budget.M(j + 1), CTX)
     with CTX.workprec():
         trig = (mpf(0),) * spec.budget.M(j + 1)
-        rhs = RhsCoefficients(n=n, j=j, f_cos=trig, f_sin=trig, f_cosh=(mpf(0),) * 2,
-                              f_sinh=(mpf(1), mpf("2.2e-309")))
+        rhs = (trig, trig, (mpf(1), mpf("2.2e-309")), (mpf(0),) * 2)
     _, _, c, d = solve_step(spec, n, j, rhs, table, CTX)
     with CTX.workprec():
         w = mp.pi * n / spec.X
@@ -198,7 +196,7 @@ def test_ode_step_residual_pointwise(benchmark1):
             for _ in range(100):
                 x = benchmark1.X * mpf(rng.random())
                 lhs = eval_term(term, x, 4, ctx=CTX) - sol.lambda0 * eval_term(term, x, ctx=CTX)
-                assert abs(lhs - eval_rhs(rhs, benchmark1, x, CTX)) < tol
+                assert abs(lhs - eval_series(rhs, n, benchmark1.X, x, CTX)) < tol
 
 
 def _size_derivative(arrays, w):
@@ -245,8 +243,7 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
         f_cos, f_sin, f_cosh, f_sinh = (
             tuple(mpf(rng.randint(-10 ** 6, 10 ** 6)) / 10 ** 6 for _ in range(size))
             for size in (M1, M1, M0, M0))
-    rhs = RhsCoefficients(n=n, j=j, f_cos=f_cos, f_sin=f_sin,
-                          f_cosh=f_cosh, f_sinh=f_sinh)
+    rhs = (f_sin, f_cos, f_sinh, f_cosh)
     rhs = add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX)
     a, b, c, d = solve_step(spec, n, j, rhs, table, CTX)
     term = CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d)

@@ -11,9 +11,9 @@ from mpmath import mp, mpf
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
                    eval_term, lambda_correction, moments, solve)
 from fdsl4.problem import poly_eval
-from fdsl4.rhs import MissingHistoryError, add_base_term, build_rhs, eval_rhs
+from fdsl4.rhs import MissingHistoryError, add_base_term, build_rhs
 
-from .conftest import step_rhs
+from .conftest import eval_series, step_rhs
 from .oracles import sequential_rhs
 
 CTX = PrecisionContext(digits=120)
@@ -32,16 +32,16 @@ def test_x_potential_first_step_arrays():
     spec = ProblemSpec.make(1, [0, 1], [0], [0], CTX)
     for n in (1, 4):
         rhs, lam1, term0, _ = _step0(spec, n)
-        assert rhs.f_sin[0] == 0
-        rhs = add_base_term(rhs, lam1, term0, CTX)
+        assert rhs[0][0] == 0
+        f_sin, f_cos, f_sinh, f_cosh = add_base_term(rhs, lam1, term0, CTX)
         with CTX.workprec():
             s2 = mp.sqrt(2)
             tol = mpf(10) ** -110
-            assert len(rhs.f_sin) == 2 and len(rhs.f_cos) == 2
-            assert abs(rhs.f_sin[0] - s2 / 2) < tol
-            assert abs(rhs.f_sin[1] + s2) < tol
-            assert rhs.f_cos == (mpf(0), mpf(0))
-            assert rhs.f_cosh == () and rhs.f_sinh == ()
+            assert len(f_sin) == 2 and len(f_cos) == 2
+            assert abs(f_sin[0] - s2 / 2) < tol
+            assert abs(f_sin[1] + s2) < tol
+            assert f_cos == (mpf(0), mpf(0))
+            assert f_cosh == () and f_sinh == ()
 
 
 def test_zero_potentials_zero_rhs():
@@ -51,7 +51,7 @@ def test_zero_potentials_zero_rhs():
         assert abs(lam1) < mpf(10) ** -115
     rhs = add_base_term(rhs, lam1, term0, CTX)
     with CTX.workprec():
-        assert all(abs(v) < mpf(10) ** -110 for v in rhs.f_cos + rhs.f_sin)
+        assert all(abs(v) < mpf(10) ** -110 for arr in rhs for v in arr)
 
 
 def test_missing_history_raises():
@@ -89,7 +89,7 @@ def test_benchmark1_pointwise_reconstruction(benchmark1):
         for _ in range(50):
             x = spec.X * mpf(rng.random())
             direct = _pointwise_rhs(spec, 0, [term0], [None, lam1], x)
-            grouped = eval_rhs(rhs, spec, x, CTX)
+            grouped = eval_series(rhs, term0.n, spec.X, x, CTX)
             assert abs(direct - grouped) < tol
 
 
@@ -107,7 +107,7 @@ def test_pointwise_reconstruction_deep_steps(benchmark1):
             for _ in range(25):
                 x = spec.X * mpf(rng.random())
                 direct = _pointwise_rhs(spec, j, sol.terms, lambdas, x)
-                grouped = eval_rhs(rhs, spec, x, CTX)
+                grouped = eval_series(rhs, n, spec.X, x, CTX)
                 assert abs(direct - grouped) < tol
 
 
@@ -137,12 +137,12 @@ def test_solvability_by_quadrature(benchmark1):
     rhs, lam1, base, _ = _step0(spec, 3)
     rule = QuadratureRule.build(spec.X, 128, 20, CTX)
     ip = rule.integrate(
-        lambda x: eval_rhs(rhs, spec, x, CTX) * eval_term(base, x, ctx=CTX), CTX)
+        lambda x: eval_series(rhs, base.n, spec.X, x, CTX) * eval_term(base, x, ctx=CTX), CTX)
     with CTX.workprec():
         assert abs(ip + lam1) < mpf(10) ** -100
 
 
-FAMILIES = ("f_sin", "f_cos", "f_sinh", "f_cosh")
+FAMILIES = ("f_sin", "f_cos", "f_sinh", "f_cosh")  # the order of build_rhs's arrays
 
 
 def _assert_matches_sequential(spec, n, j, terms, lambdas, ctx):
@@ -153,8 +153,8 @@ def _assert_matches_sequential(spec, n, j, terms, lambdas, ctx):
     size = sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=True)
     with ctx.workprec():
         tol = mpf(10) ** -(ctx.digits - 10)
-        for family in FAMILIES:
-            g, w, s = getattr(got, family), getattr(want, family), getattr(size, family)
+        assert len(got) == len(want) == len(size) == len(FAMILIES)
+        for family, g, w, s in zip(FAMILIES, got, want, size):
             assert len(g) == len(w) == len(s), family
             for k, (gk, wk, sk) in enumerate(zip(g, w, s)):
                 assert abs(gk - wk) <= tol * sk, f"{family}[{k}] at step {j + 1}"

@@ -9,6 +9,7 @@ from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
                    lambda_correction, matching_digits, moments, solve, spectral)
 from fdsl4.rhs import build_rhs
 
+from .conftest import eval_series
 from .oracles import closed_form_moments, x_potential_second_correction
 
 CTX = PrecisionContext(digits=120)
@@ -197,13 +198,38 @@ def test_solve_sizes_table_to_top_power(benchmark1, x_potential, monkeypatch):
         solve(benchmark1, 1, 3, CTX)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.sampled_from(["0.5", "1", "2", "5"]),
+       st.integers(min_value=0, max_value=5),
+       st.randoms(use_true_random=False))
+def test_project_is_integral_against_sin(n, X, T, rng):
+    # each family must meet its own moment column: a random series with all
+    # four families nonzero, projected through the table and integrated by
+    # quadrature; lambda_correction is -sqrt(2/X) times the same projection
+    table = moments(n, X, T, CTX)
+    with CTX.workprec():
+        X = mpf(X)
+        hyp = rng.randint(1, T + 1)  # sinh and cosh share a length, as in a correction
+        sizes = (T + 1, T + 1, hyp, hyp)
+        arrays = tuple(tuple(rng.choice((-1, 1)) * mpf(rng.randint(1, 10 ** 6)) / 10 ** 6
+                             for _ in range(size)) for size in sizes)
+        w = mp.pi * n / X
+        rule = QuadratureRule.build(X, 4 * n + 8, 20, CTX)
+        want = rule.integrate(lambda x: eval_series(arrays, n, X, x, CTX) * mp.sin(w * x), CTX)
+        scale = X * mp.cosh(mp.pi * n) * sum(abs(v) * X ** t for arr in arrays
+                                              for t, v in enumerate(arr))
+        assert abs(table.project(arrays) - want) < mpf(10) ** -60 * scale
+        assert lambda_correction(arrays, table, CTX) == -mp.sqrt(2 / X) * table.project(arrays)
+
+
 def test_lambda_correction_rejects_short_table(benchmark1):
     # F of step 2 reaches power M(2) - 1: a table that stops one power short
     # must raise rather than drop the top summands
     sol = solve(benchmark1, 1, 1, CTX)
     lambdas = (sol.lambda0,) + sol.lambda_corrections
     rhs = build_rhs(benchmark1, 1, 1, sol.terms, lambdas, CTX)
-    top = len(rhs.f_sin) - 1
+    top = len(rhs[0]) - 1
     assert top == benchmark1.budget.M(2) - 1
     lambda_correction(rhs, moments(1, benchmark1.X, top, CTX), CTX)
     with pytest.raises(IndexError):

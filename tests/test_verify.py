@@ -5,8 +5,7 @@ import logging
 import pytest
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule,
-                   compare_to_fixture, galerkin_nearest_eigenvalue,
+from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
 from fdsl4.numerics import matching_digits
 from fdsl4.verify import _doubled, build_galerkin, default_panels
@@ -147,21 +146,6 @@ def test_matching_digits():
     assert matching_digits("1.234567", "1.234567", CTX50) == 50
     assert matching_digits("1.2345678", "1.2345699", CTX50) in (5, 6)
     assert matching_digits("2.0", "1.0", CTX50) == 0
-
-
-def test_compare_to_fixture_rank10(x_potential):
-    fx = load_fixtures()
-    sol = solve(x_potential, 1, 10, CTX)
-    report = compare_to_fixture(sol, fx, CTX)
-    assert report["rank10_digits"] >= 45
-
-
-def test_compare_to_fixture_error_ratio(benchmark1, ctx120):
-    fx = load_fixtures()
-    sol = solve(benchmark1, 1, 10, ctx120)
-    report = compare_to_fixture(sol, fx, ctx120)
-    with ctx120.workprec():
-        assert mpf("0.5") < report["error_ratio"] < 2
 
 
 def test_galerkin_diagonal_for_zero_potentials():
