@@ -7,14 +7,14 @@ from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, eval_s
 from .numerics import PrecisionContext, matching_digits, stability_probe
 from .problem import Polynomial, ProblemSpec, StepBudget, load_problem, omega, parse_problem
 from .spectral import MomentTable, lambda_correction, moments, solve
-from .verify import (FixtureSet, GalerkinOracle, QuadratureRule, galerkin_nearest_eigenvalue,
+from .verify import (FixtureSet, QuadratureRule, galerkin_nearest_eigenvalue,
                      load_fixtures, residual_norm, residual_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceReport", "CorrectionTerm", "FDSolution", "FixtureSet",
-    "GalerkinOracle", "MomentTable", "Polynomial",
+    "MomentTable", "Polynomial",
     "PrecisionContext", "ProblemSpec", "QuadratureRule", "StepBudget",
     "assemble", "base_pair", "convergence_report", "eval_solution",
     "eval_term", "galerkin_nearest_eigenvalue", "lambda_correction",

@@ -58,11 +58,6 @@ class ConvergenceReport:
             return self.r_n ** (m + 1) / ((m + 2) * mp.sqrt(mp.pi * (m + 1)))
 
 
-def constant_Mn(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> mpf:
-    """Contraction constant M_n of the majorant recurrence (see :func:`convergence_report`)."""
-    return convergence_report(spec, n, ctx).M_n
-
-
 def majorant(j: int) -> int:
     """Exact integer majorant value for step j+1: (2j+2)!/((j+1)!(j+2)!).
 

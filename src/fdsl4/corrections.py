@@ -7,13 +7,18 @@ Every correction u_n^(j) produced by the method lives in the span of
 with the polynomial degree growing by r+1 per step: the trig part of step j
 carries powers 0..M(j) and the hyperbolic part powers 0..M(j-1), where
 M(j) = j*(r+1).  A :class:`CorrectionTerm` stores the four coefficient arrays
-(a multiplies sin, b cos, c sinh, d cosh).
+(a multiplies sin, b cos, c sinh, d cosh); a and b share a length, c and d share
+one that is at most it.
 
 Differentiation maps this family to itself by an exact coefficient
 transformation, so derivatives up to the fourth order (needed for residual
-norms) never touch finite differences.  The base eigenpair of the hinged
-problem with zero potentials is sqrt(2/X) sin(n pi x / X) with eigenvalue
-(n pi / X)^4; it seeds the recursion as step 0.
+norms) never touch finite differences.  Every linear functional of a series
+(a moment projection, a point value) is one exactly rounded dot product of
+its four arrays with the functional's four columns, :func:`series_dot`.
+
+The base eigenpair of the hinged problem with zero potentials is
+sqrt(2/X) sin(n pi x / X) with eigenvalue (n pi / X)^4; it seeds the
+recursion as step 0.
 """
 
 from __future__ import annotations
@@ -38,6 +43,13 @@ class CorrectionTerm:
     b: tuple  # multiplies x^p cos(w x)
     c: tuple  # multiplies x^p sinh(w x)
     d: tuple  # multiplies x^p cosh(w x)
+
+    def __post_init__(self) -> None:
+        la, lc = len(self.a), len(self.c)
+        if not (la == len(self.b) >= 1 and lc == len(self.d) and lc <= la):
+            raise ValueError(
+                f"term arrays need len(a) == len(b) >= 1, len(c) == len(d) <= len(a); "
+                f"got {la}, {len(self.b)}, {lc}, {len(self.d)}")
 
 
 def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
@@ -81,44 +93,50 @@ def _derivative_arrays(term: CorrectionTerm, order: int, dps: int):
         return arrays
 
 
-def _eval_arrays(arrays, x, basis) -> mpf:
-    """Horner evaluation of the four coefficient polynomials against a basis.
+def series_dot(arrays, columns) -> mpf:
+    """Pair a (sin, cos, sinh, cosh) series with the four columns of a linear
+    functional: the sum over families and powers p of arrays[f][p] * columns[f][p].
 
-    ``basis`` is the tuple (sin wx, cos wx, sinh wx, cosh wx) precomputed at x
-    so quadrature loops can share transcendental evaluations across terms.
+    One exactly rounded dot product at the caller's precision.  The columns
+    are indexed explicitly, so a column shorter than its array raises
+    ``IndexError``.
     """
-    a, b, c, d = arrays
-    sx, cx, shx, chx = basis
-    trig = mpf(0)
-    for p in range(len(a) - 1, -1, -1):
-        trig = trig * x + (a[p] * sx + b[p] * cx)
-    hyp = mpf(0)
-    for p in range(len(c) - 1, -1, -1):
-        hyp = hyp * x + (c[p] * shx + d[p] * chx)
-    return trig + hyp
+    return mp.fdot((v, column[p]) for arr, column in zip(arrays, columns)
+                   for p, v in enumerate(arr))
 
 
-def basis_values(n: int, X, x, ctx: PrecisionContext):
-    """(sin, cos, sinh, cosh) of (pi n / X) x at working precision."""
+def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
+    """Point-evaluation columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top.
+
+    :func:`series_dot` of a series with these columns is its value at x.
+    Built once per point, they serve every term and derivative order.
+    """
     with ctx.workprec():
         wx = mp.pi * n / X * x
-        return mp.sin(wx), mp.cos(wx), mp.sinh(wx), mp.cosh(wx)
+        powers = [mpf(1)]
+        for _ in range(top):
+            powers.append(powers[-1] * x)
+        return tuple(tuple(v * xp for xp in powers)
+                     for v in (mp.sin(wx), mp.cos(wx), mp.sinh(wx), mp.cosh(wx)))
 
 
-def eval_term(term: CorrectionTerm, x, deriv: int = 0, *,
-              ctx: PrecisionContext, basis=None) -> mpf:
-    """Value of d^deriv/dx^deriv of the term at x in [0, X], deriv <= 4."""
+def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:
+    """Sum at x of the deriv-th derivatives of terms sharing n and X."""
     if not 0 <= deriv <= 4:
         raise ValueError("derivative order must be in 0..4")
+    first = terms[0]
     with ctx.workprec():
         x = mpf(x)
-        if x < 0 or x > term.X:
-            raise ValueError(f"x={x} outside [0, {term.X}]")
-        arrays = _derivative_arrays(term, deriv, mp.dps) if deriv else \
-            (term.a, term.b, term.c, term.d)
-        if basis is None:
-            basis = basis_values(term.n, term.X, x, ctx)
-        return _eval_arrays(arrays, x, basis)
+        if x < 0 or x > first.X:
+            raise ValueError(f"x={x} outside [0, {first.X}]")
+        columns = basis_values(first.n, first.X, x, max(len(t.a) for t in terms) - 1, ctx)
+        return mp.fsum(series_dot(_derivative_arrays(t, deriv, mp.dps) if deriv else
+                                  (t.a, t.b, t.c, t.d), columns) for t in terms)
+
+
+def eval_term(term: CorrectionTerm, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:
+    """Value of d^deriv/dx^deriv of the term at x in [0, X], deriv <= 4."""
+    return _eval_terms((term,), x, deriv, ctx)
 
 
 @dataclass(frozen=True)
@@ -159,16 +177,9 @@ def lambda_partials(lambda_values, ctx: PrecisionContext) -> list:
         return partials
 
 
-def eval_solution(sol: FDSolution, x, deriv: int = 0, *,
-                  ctx: PrecisionContext, basis=None) -> mpf:
+def eval_solution(sol: FDSolution, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:
     """Value of the rank-m eigenfunction approximation (or a derivative)."""
-    with ctx.workprec():
-        if basis is None:
-            basis = basis_values(sol.n, sol.X, ctx.mpf(x), ctx)
-        total = mpf(0)
-        for term in sol.terms:
-            total += eval_term(term, x, deriv, ctx=ctx, basis=basis)
-        return total
+    return _eval_terms(sol.terms, x, deriv, ctx)
 
 
 # --- serialization -----------------------------------------------------------

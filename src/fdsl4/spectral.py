@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from . import recursion
-from .corrections import CorrectionTerm, FDSolution, assemble, base_pair
+from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, series_dot
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
 from .rhs import add_base_term, build_rhs
@@ -47,12 +47,10 @@ class MomentTable:
     def project(self, arrays) -> mpf:
         """Integral of the (sin, cos, sinh, cosh) series ``arrays`` times sin(w x).
 
-        One exactly rounded dot product at the caller's precision; a table
-        shorter than an array raises ``IndexError``.
+        One :func:`~fdsl4.corrections.series_dot` at the caller's precision;
+        a table shorter than an array raises ``IndexError``.
         """
-        columns = (self.alpha, self.beta, self.mu, self.eta)
-        return mp.fdot((v, column[t]) for arr, column in zip(arrays, columns)
-                       for t, v in enumerate(arr))
+        return series_dot(arrays, (self.alpha, self.beta, self.mu, self.eta))
 
 
 def _exp_moments(Z, E, T: int) -> list:

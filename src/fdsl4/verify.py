@@ -20,6 +20,14 @@ instruments:
   eigenvalue to a shift is found by LU-based inverse iteration.  The matrix
   entries reduce to closed-form integrals of x^l sin/cos products, so the
   oracle shares no code path with the correction recursion.
+
+The sums are the solver's own primitive, one exactly rounded dot product
+(``mp.fdot``) each: point values pair a term with the columns of
+:func:`~fdsl4.corrections.basis_values` through
+:func:`~fdsl4.corrections.series_dot`, and a quadrature sum, a Galerkin
+entry, an L or U entry of the left-looking LU, a row of the triangular
+solves and the Rayleigh quotient are one ``fdot`` each.  The Gauss-Legendre
+nodes come from ``mp.gauss_quadrature``.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain, zip_longest
 
 from mpmath import mp, mpf
 
-from .corrections import (FDSolution, _derivative_arrays, _eval_arrays, basis_values,
-                          lambda_partials)
+from .corrections import (FDSolution, _derivative_arrays, basis_values, lambda_partials,
+                          series_dot)
 from .numerics import PrecisionContext
 from .problem import ProblemSpec, poly_eval
 
@@ -50,31 +59,11 @@ class OracleConvergenceError(RuntimeError):
 
 # --- composite Gauss-Legendre ------------------------------------------------
 
-def _legendre_and_prime(k: int, x):
-    p0, p1 = mpf(1), x
-    for i in range(2, k + 1):
-        p0, p1 = p1, ((2 * i - 1) * x * p1 - (i - 1) * p0) / i
-    dp = k * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
 @lru_cache(maxsize=64)
 def _gauss_legendre_base(k: int, dps: int):
-    """Nodes and weights on [-1, 1], Newton-polished at dps digits."""
+    """Nodes and weights on [-1, 1] at dps digits (Golub-Welsch, in mpmath)."""
     with mp.workdps(dps):
-        nodes, weights = [], []
-        tol = mpf(10) ** (5 - dps)
-        for i in range(1, k + 1):
-            x = mp.cos(mp.pi * (i - mpf(1) / 4) / (k + mpf(1) / 2))
-            for _ in range(100):
-                p, dp = _legendre_and_prime(k, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            p, dp = _legendre_and_prime(k, x)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
+        nodes, weights = mp.gauss_quadrature(k, "legendre")
         return tuple(nodes), tuple(weights)
 
 
@@ -106,10 +95,7 @@ class QuadratureRule:
 
     def integrate(self, f, ctx: PrecisionContext) -> mpf:
         with ctx.workprec():
-            acc = mpf(0)
-            for x, w in zip(self.nodes, self.weights):
-                acc += w * f(x)
-            return acc
+            return mp.fdot(self.weights, map(f, self.nodes))
 
 
 def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
@@ -153,46 +139,34 @@ def _term_arrays(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
                 for t in sol.terms]
 
 
-def _phi_pieces(sol: FDSolution, spec: ProblemSpec, arrays, x, ctx: PrecisionContext):
-    """Per-step values (operator part, plain value) at one point.
-
-    ``arrays`` comes from :func:`_term_arrays`.  The residual of the rank-m
-    truncation is sum of the first column up to m minus the rank-m eigenvalue
-    times the sum of the second column.
-    """
-    with ctx.workprec():
-        basis = basis_values(sol.n, sol.X, x, ctx)
-        q0x = poly_eval(spec.q0, x)
-        q1x = poly_eval(spec.q1, x)
-        q2x = poly_eval(spec.q2, x)
-        ops, vals = [], []
-        for u0_arr, u4_arr, u2_arr, u1_arr in arrays:
-            u0 = _eval_arrays(u0_arr, x, basis)
-            op = _eval_arrays(u4_arr, x, basis) + q0x * u0
-            if u2_arr is not None:
-                op += q2x * _eval_arrays(u2_arr, x, basis)
-            if u1_arr is not None:
-                op += q1x * _eval_arrays(u1_arr, x, basis)
-            ops.append(op)
-            vals.append(u0)
-        return ops, vals
-
-
 def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
                         ctx: PrecisionContext):
-    """Integral of the squared residual for every rank 0..m at one panel count."""
+    """Integral of the squared residual for every rank 0..m at one panel count.
+
+    At each node the point-evaluation columns are built once and shared by
+    every term and derivative order.  The residual of the rank-k truncation
+    is the sum over steps up to k of (u'''' + q2 u'' + q1 u' + q0 u) minus
+    the rank-k eigenvalue times the sum of u.
+    """
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
         lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
         arrays = _term_arrays(sol, spec, ctx)
+        top = max(len(t.a) for t in sol.terms) - 1
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):
-            ops, vals = _phi_pieces(sol, spec, arrays, x, ctx)
-            op_sum = mpf(0)
-            val_sum = mpf(0)
-            for k in range(sol.m + 1):
-                op_sum += ops[k]
-                val_sum += vals[k]
+            columns = basis_values(sol.n, sol.X, x, top, ctx)
+            q0x, q1x, q2x = (poly_eval(q, x) for q in (spec.q0, spec.q1, spec.q2))
+            op_sum = val_sum = mpf(0)
+            for k, (u0_arr, u4_arr, u2_arr, u1_arr) in enumerate(arrays):
+                u0 = series_dot(u0_arr, columns)
+                op = series_dot(u4_arr, columns) + q0x * u0
+                if u2_arr is not None:
+                    op += q2x * series_dot(u2_arr, columns)
+                if u1_arr is not None:
+                    op += q1x * series_dot(u1_arr, columns)
+                op_sum += op
+                val_sum += u0
                 phi = op_sum - lam[k] * val_sum
                 acc[k] += w * phi * phi
         return acc
@@ -271,13 +245,7 @@ def load_fixtures() -> FixtureSet:
 
 # --- sine-Galerkin oracle -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GalerkinOracle:
-    """Operator matrix in the orthonormal sine basis sqrt(2/X) sin(p pi x/X)."""
-
-    N: int
-    X: mpf
-    matrix: tuple  # rows of mpf
+MAX_INVERSE_ITERATIONS = 60
 
 
 def _sine_cosine_integrals(X, max_power: int, max_freq: int, ctx: PrecisionContext):
@@ -301,109 +269,101 @@ def _sine_cosine_integrals(X, max_power: int, max_freq: int, ctx: PrecisionConte
         return I_s, I_c
 
 
-def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> GalerkinOracle:
-    """Assemble the N x N operator matrix with closed-form entries."""
-    r = spec.budget.r
+def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
+    """Rows of the N x N operator matrix in the orthonormal sine basis
+    sqrt(2/X) sin(w_p x), w_p = p pi / X, p = 1..N.
+
+    Entry (p, q) is delta_pq w_p^4 plus (2/X) times the sum over powers l of
+    (q0_l - w_p^2 q2_l) int x^l sin_p sin_q + w_p q1_l int x^l cos_p sin_q:
+    one exactly rounded dot product over the potential coefficients, with
+    the product integrals in closed form.
+    """
     with ctx.workprec():
         X = spec.X
-        I_s, I_c = _sine_cosine_integrals(X, r, 2 * N, ctx)
-
-        def sin_sin(l, p, q):  # int x^l sin_p sin_q
-            return (I_c[l][abs(p - q)] - I_c[l][p + q]) / 2
-
-        def cos_sin(l, p, q):  # int x^l cos_p sin_q
-            d = p - q
-            tail = I_s[l][d] if d >= 0 else -I_s[l][-d]
-            return (I_s[l][p + q] - tail) / 2
-
+        I_s, I_c = _sine_cosine_integrals(X, spec.budget.r, 2 * N, ctx)
         rows = []
         for p in range(1, N + 1):
             wp = p * mp.pi / X
+            # weights of 2 int x^l sin_p sin_q and 2 int x^l cos_p sin_q, 2/X folded in
+            w_ss = [(c0 - wp ** 2 * c2) / X for c0, c2 in
+                    zip_longest(spec.q0.coeffs, spec.q2.coeffs, fillvalue=0)]
+            w_cs = [c1 * wp / X for c1 in spec.q1.coeffs]
             row = []
             for q in range(1, N + 1):
-                entry = mpf(0)
-                for l, c in enumerate(spec.q0.coeffs):
-                    if c:
-                        entry += c * sin_sin(l, p, q)
-                for l, c in enumerate(spec.q2.coeffs):
-                    if c:
-                        entry -= c * wp ** 2 * sin_sin(l, p, q)
-                for l, c in enumerate(spec.q1.coeffs):
-                    if c:
-                        entry += c * wp * cos_sin(l, p, q)
-                entry *= 2 / X
-                if p == q:
-                    entry += wp ** 4
-                row.append(entry)
+                d, sign = abs(p - q), (1 if p >= q else -1)
+                entry = mp.fdot(chain(
+                    ((w, I_c[l][d] - I_c[l][p + q]) for l, w in enumerate(w_ss) if w),
+                    ((w, I_s[l][p + q] - sign * I_s[l][d]) for l, w in enumerate(w_cs) if w)))
+                row.append(entry + wp ** 4 if p == q else entry)
             rows.append(tuple(row))
-        return GalerkinOracle(N=N, X=X, matrix=tuple(rows))
+        return tuple(rows)
 
 
 def _lu_factor(rows, ctx: PrecisionContext):
-    """In-place Doolittle LU with partial pivoting on a list of lists."""
+    """Left-looking (Crout) LU with partial pivoting: P A = L U, L unit lower.
+
+    Step k forms column k of L and then row k of U from the finished rows and
+    columns; each entry is one exactly rounded dot product that includes the
+    matrix entry it corrects.  Returns the packed factors and the row order.
+    """
     n = len(rows)
     lu = [list(r) for r in rows]
     piv = list(range(n))
+    # neg_u[j] = [1, -U[0][j], ..., -U[k-1][j]], paired with [A[i][j], L[i][0], ...]
+    neg_u = [[1] for _ in range(n)]
     with ctx.workprec():
         for k in range(n):
+            for i in range(k, n):
+                row = lu[i]
+                row[k] = mp.fdot([row[k]] + row[:k], neg_u[k])
             pivot = max(range(k, n), key=lambda i: abs(lu[i][k]))
             if lu[pivot][k] == 0:
                 raise ZeroDivisionError("singular shifted matrix; perturb the shift")
             if pivot != k:
                 lu[k], lu[pivot] = lu[pivot], lu[k]
                 piv[k], piv[pivot] = piv[pivot], piv[k]
-            inv = 1 / lu[k][k]
+            u_kk = lu[k][k]
             for i in range(k + 1, n):
-                f = lu[i][k] * inv
-                lu[i][k] = f
-                if f:
-                    row_i, row_k = lu[i], lu[k]
-                    for jj in range(k + 1, n):
-                        row_i[jj] -= f * row_k[jj]
+                lu[i][k] /= u_kk
+            row_k, l_k = lu[k], lu[k][:k]
+            for j in range(k + 1, n):
+                row_k[j] = mp.fdot([row_k[j]] + l_k, neg_u[j])
+                neg_u[j].append(-row_k[j])
     return lu, piv
 
 
 def _lu_solve(lu, piv, b, ctx: PrecisionContext):
+    """Solve A x = b from :func:`_lu_factor`'s factors; each row one dot product."""
     n = len(lu)
     with ctx.workprec():
-        y = [b[piv[i]] for i in range(n)]
+        y, neg = [], [1]
         for i in range(n):
-            row = lu[i]
-            s = y[i]
-            for jj in range(i):
-                s -= row[jj] * y[jj]
-            y[i] = s
+            y.append(mp.fdot([b[piv[i]]] + lu[i][:i], neg))
+            neg.append(-y[i])
+        x, neg = [None] * n, [1]   # neg = [1, -x[n-1], ..., -x[i+1]]
         for i in range(n - 1, -1, -1):
             row = lu[i]
-            s = y[i]
-            for jj in range(i + 1, n):
-                s -= row[jj] * y[jj]
-            y[i] = s / row[i]
-        return y
-
-
-def _matvec(rows, v, ctx: PrecisionContext):
-    with ctx.workprec():
-        return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
+            x[i] = mp.fdot([y[i]] + row[:i:-1], neg) / row[i]
+            neg.append(-x[i])
+        return x
 
 
 def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
-                                ctx: PrecisionContext, max_iter: int = 60) -> mpf:
+                                ctx: PrecisionContext) -> mpf:
     """Eigenvalue of the sine-Galerkin matrix nearest the shift.
 
     Shifted inverse iteration: one LU factorization of (A - shift I), then
     repeated solves; the Rayleigh quotient of the iterate is returned once it
     settles to ~1e-12 relative.  Raises OracleConvergenceError otherwise.
     """
-    if N < 1 or max_iter < 2:
-        raise ValueError("need N >= 1 and max_iter >= 2")
-    oracle = build_galerkin(spec, N, ctx)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    rows = build_galerkin(spec, N, ctx)
     with ctx.workprec():
         shift = mpf(shift)
-        lu = piv = None
-        for attempt in range(3):
-            shifted = [tuple(oracle.matrix[i][j] - (shift if i == j else 0)
-                             for j in range(N)) for i in range(N)]
+        for _ in range(3):
+            shifted = [[e - shift if i == j else e for j, e in enumerate(row)]
+                       for i, row in enumerate(rows)]
             try:
                 lu, piv = _lu_factor(shifted, ctx)
                 break
@@ -416,17 +376,17 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
         v = [mpf(1)] * N
         ritz_prev = None
         reltol = mpf(10) ** (-min(12, ctx.digits // 2))
-        for _ in range(max_iter):
+        for _ in range(MAX_INVERSE_ITERATIONS):
             y = _lu_solve(lu, piv, v, ctx)
             norm = max(abs(c) for c in y)
             v = [c / norm for c in y]
-            av = _matvec(oracle.matrix, v, ctx)
-            vv = sum(c * c for c in v)
-            ritz = sum(a * c for a, c in zip(av, v)) / vv
+            av = [mp.fdot(row, v) for row in rows]
+            vv = mp.fdot(v, v)
+            ritz = mp.fdot(av, v) / vv
             if ritz_prev is not None and abs(ritz - ritz_prev) <= reltol * abs(ritz):
                 return ritz
             ritz_prev = ritz
-        res = mp.sqrt(sum((a - ritz * c) ** 2 for a, c in zip(av, v)) / vv)
+        res = [a - ritz * c for a, c in zip(av, v)]
         raise OracleConvergenceError(
-            f"inverse iteration did not settle after {max_iter} iterations; "
-            f"last Rayleigh residual {mp.nstr(res, 5)}")
+            f"inverse iteration did not settle after {MAX_INVERSE_ITERATIONS} iterations; "
+            f"last Rayleigh residual {mp.nstr(mp.sqrt(mp.fdot(res, res) / vv), 5)}")

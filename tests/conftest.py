@@ -15,7 +15,7 @@ import pytest
 from mpmath import mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, residual_sweep, solve
-from fdsl4.corrections import _eval_arrays, basis_values
+from fdsl4.corrections import basis_values, series_dot
 from fdsl4.rhs import add_base_term, build_rhs
 
 B2_INDICES = (1, 2, 3, 4, 5, 10, 20, 50)
@@ -32,7 +32,8 @@ def eval_series(arrays, n, X, x, ctx):
     """Value at x of a (sin, cos, sinh, cosh) coefficient series such as F."""
     with ctx.workprec():
         x = mpf(x)
-        return _eval_arrays(arrays, x, basis_values(n, X, x, ctx))
+        top = max(len(arr) for arr in arrays) - 1
+        return series_dot(arrays, basis_values(n, X, x, top, ctx))
 
 
 @pytest.fixture(scope="session")

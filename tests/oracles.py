@@ -7,7 +7,8 @@ walks, the scalar power-matching relations instead of the walks, a closed-form
 eigenvalue correction instead of the moment-table projection, the
 closed-form moment sums instead of the exponential-moment recurrences,
 sequential multiply-adds instead of one dot product per right-hand-side
-coefficient, and the majorant-chain envelope of the eigenvalue corrections.
+coefficient, Horner loops instead of one dot product per point value, and
+the majorant-chain envelope of the eigenvalue corrections.
 """
 
 import itertools
@@ -20,6 +21,24 @@ from fdsl4.spectral import MomentTable
 def naive_poly_eval(coeffs, x):
     """Term-by-term power sum, no Horner."""
     return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def horner_series(arrays, x, basis):
+    """Horner evaluation of the four coefficient polynomials against a basis.
+
+    ``basis`` is the tuple (sin wx, cos wx, sinh wx, cosh wx) at x.  This is
+    the loop form that :func:`fdsl4.corrections.series_dot` replaced for
+    point values: one rounded multiply-add per power and family.
+    """
+    a, b, c, d = arrays
+    sx, cx, shx, chx = basis
+    trig = mpf(0)
+    for p in range(len(a) - 1, -1, -1):
+        trig = trig * x + (a[p] * sx + b[p] * cx)
+    hyp = mpf(0)
+    for p in range(len(c) - 1, -1, -1):
+        hyp = hyp * x + (c[p] * shx + d[p] * chx)
+    return trig + hyp
 
 
 def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 from fdsl4 import (PrecisionContext, assemble, eval_term,
                    galerkin_nearest_eigenvalue, load_fixtures, moments,
                    residual_sweep, solve)
-from fdsl4.convergence import constant_Mn, convergence_report, majorant
+from fdsl4.convergence import convergence_report, majorant
 from fdsl4.spectral import lambda_correction
 
 from .conftest import B2_INDICES, eval_series, step_rhs
@@ -295,15 +295,15 @@ def test_criterion_6_diagnostics(benchmark1, benchmark2, b1_solutions_m20,
     with ctx300.workprec():
         # exact thresholds of the sufficient condition
         for n in (1, 2):
-            if not 4 * constant_Mn(benchmark1, n, ctx300) >= 1:
+            if not 4 * convergence_report(benchmark1, n, ctx300).M_n >= 1:
                 problems.append(f"benchmark1 r_{n} unexpectedly < 1")
         for n in range(3, 51):
-            if not 4 * constant_Mn(benchmark1, n, ctx300) < 1:
+            if not 4 * convergence_report(benchmark1, n, ctx300).M_n < 1:
                 problems.append(f"benchmark1 r_{n} >= 1")
-        if not 4 * constant_Mn(benchmark2, 1, ctx300) >= 1:
+        if not 4 * convergence_report(benchmark2, 1, ctx300).M_n >= 1:
             problems.append("benchmark2 r_1 unexpectedly < 1")
         for n in range(2, 51):
-            if not 4 * constant_Mn(benchmark2, n, ctx300) < 1:
+            if not 4 * convergence_report(benchmark2, n, ctx300).M_n < 1:
                 problems.append(f"benchmark2 r_{n} >= 1")
 
         # eigenvalue bounds dominate the observed errors (benchmark 1, exact

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, convergence_report
-from fdsl4.convergence import constant_Mn, majorant
+from fdsl4.convergence import majorant
 
 CTX = PrecisionContext(digits=60)
 
@@ -12,26 +12,26 @@ CTX = PrecisionContext(digits=60)
 def test_benchmark1_threshold(benchmark1):
     # sufficient condition holds from index 3 on; frozen r_3 from direct
     # evaluation of the contraction-constant formula
-    r3 = 4 * constant_Mn(benchmark1, 3, CTX)
+    r3 = 4 * convergence_report(benchmark1, 3, CTX).M_n
     with CTX.workprec():
         assert abs(r3 - mpf("0.84734012")) < mpf("1e-6")
         assert r3 < 1
-    r2 = 4 * constant_Mn(benchmark1, 2, CTX)
+    r2 = 4 * convergence_report(benchmark1, 2, CTX).M_n
     assert r2 > 1
     for n in range(3, 30):
-        assert 4 * constant_Mn(benchmark1, n, CTX) < 1
+        assert 4 * convergence_report(benchmark1, n, CTX).M_n < 1
 
 
 def test_benchmark2_threshold(benchmark2):
     # holds exactly from index 2 on
-    assert 4 * constant_Mn(benchmark2, 1, CTX) > 1
+    assert 4 * convergence_report(benchmark2, 1, CTX).M_n > 1
     for n in range(2, 30):
-        assert 4 * constant_Mn(benchmark2, n, CTX) < 1
+        assert 4 * convergence_report(benchmark2, n, CTX).M_n < 1
 
 
 def test_zero_omega_zero_constant():
     spec = ProblemSpec.make(3, [0, 0], [0, 0], [0, 0], CTX)
-    assert constant_Mn(spec, 5, CTX) == 0
+    assert convergence_report(spec, 5, CTX).M_n == 0
 
 
 def test_report_fields(benchmark1):

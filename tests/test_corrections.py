@@ -1,11 +1,16 @@
 """Base pair, term evaluation with derivatives, assembly, serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, assemble,
+from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, QuadratureRule, assemble,
                    base_pair, eval_solution, eval_term, moments, solve)
-from fdsl4.corrections import solution_from_payload, solution_to_payload
+from fdsl4.corrections import (_differentiate, basis_values, series_dot,
+                               solution_from_payload, solution_to_payload)
+
+from .oracles import horner_series
 
 CTX = PrecisionContext(digits=120)
 
@@ -170,3 +175,67 @@ def test_serialization_roundtrip(x_solution):
             assert t1.c == t2.c and t1.d == t2.d
     # payload reals are decimal strings
     assert isinstance(payload["lambda_approx"], str)
+
+
+def _term(a, b, c, d, n=1, X=1):
+    return CorrectionTerm(j=1, n=n, X=mpf(X), a=tuple(map(mpf, a)), b=tuple(map(mpf, b)),
+                          c=tuple(map(mpf, c)), d=tuple(map(mpf, d)))
+
+
+def test_term_rejects_mismatched_arrays():
+    # a cosh array longer than the sinh array used to lose its extra entries
+    with pytest.raises(ValueError, match="len"):
+        _term([1, 2], [0, 1], [1], [2, 3])
+    for a, b, c, d in (([1, 2], [1], [], []),          # len(b) != len(a)
+                       ([], [], [], []),              # no trig power
+                       ([1], [1], [1, 2], [1, 2])):   # hyperbolic longer than trig
+        with pytest.raises(ValueError):
+            _term(a, b, c, d)
+    _term([1, 2], [0, 1], [], [])
+    _term([1, 2], [0, 1], [3, 4], [5, 6])
+
+
+def test_payload_with_mismatched_term_rejected(x_solution):
+    payload = solution_to_payload(x_solution, CTX)
+    payload["terms"][2]["d"].append("1")
+    with pytest.raises(ValueError, match="len"):
+        solution_from_payload(payload)
+
+
+def test_series_dot_rejects_short_column():
+    with CTX.workprec():
+        arrays = ((mpf(1), mpf(2)), (mpf(3), mpf(4)), (mpf(5),), (mpf(6),))
+        columns = basis_values(1, mpf(1), mpf("0.3"), 1, CTX)
+        assert [len(col) for col in columns] == [2, 2, 2, 2]
+        series_dot(arrays, columns)
+        with pytest.raises(IndexError):
+            series_dot(arrays, basis_values(1, mpf(1), mpf("0.3"), 0, CTX))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["0.5", "1", "2", "5"]),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=4),
+       st.randoms(use_true_random=False))
+def test_eval_term_matches_horner(X, n, trig_len, hyp_len, deriv, rng):
+    # the dot product against point-evaluation columns and the Horner loop
+    # agree to rounding, measured against the sum of absolute summands
+    hyp_len = min(hyp_len, trig_len)
+    with CTX.workprec():
+        X = mpf(X)
+        arrays = tuple(tuple(rng.choice((-1, 1)) * mpf(rng.randint(1, 10 ** 6)) / 10 ** 6
+                             for _ in range(size))
+                       for size in (trig_len, trig_len, hyp_len, hyp_len))
+        term = CorrectionTerm(j=1, n=n, X=X, a=arrays[0], b=arrays[1], c=arrays[2], d=arrays[3])
+        x = X * mpf(rng.randint(0, 10 ** 6)) / 10 ** 6
+        w = mp.pi * n / X
+        for _ in range(deriv):
+            arrays = _differentiate(arrays, w)
+        basis = tuple(f(w * x) for f in (mp.sin, mp.cos, mp.sinh, mp.cosh))
+        want = horner_series(arrays, x, basis)
+        size = horner_series(tuple(tuple(map(abs, arr)) for arr in arrays), x,
+                             tuple(map(abs, basis)))
+        got = eval_term(term, x, deriv, ctx=CTX)
+        assert abs(got - want) <= mpf(10) ** -(CTX.digits - 10) * size

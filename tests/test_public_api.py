@@ -39,6 +39,25 @@ def test_moment_table_interface_pinned():
         ("n", "X", "alpha", "beta", "eta", "mu")
 
 
+def _params(fn):
+    return tuple(inspect.signature(fn).parameters)
+
+
+def test_traced_verify_interfaces_pinned():
+    # bench/stagetrace.py rebinds QuadratureRule.build as a classmethod and
+    # reads its panels and nodes_per_panel arguments by name; it also wraps
+    # build_galerkin and galerkin_nearest_eigenvalue
+    from fdsl4 import verify
+    assert isinstance(verify.QuadratureRule.__dict__["build"], classmethod), \
+        "QuadratureRule.build must stay a classmethod"
+    assert _params(verify.QuadratureRule.build) == ("X", "panels", "nodes_per_panel", "ctx"), \
+        "QuadratureRule.build(X, panels, nodes_per_panel, ctx) changed"
+    assert _params(verify.build_galerkin) == ("spec", "N", "ctx"), \
+        "build_galerkin(spec, N, ctx) changed"
+    assert _params(verify.galerkin_nearest_eigenvalue) == ("spec", "shift", "N", "ctx"), \
+        "galerkin_nearest_eigenvalue(spec, shift, N, ctx) changed"
+
+
 def test_demo_imports_exist():
     demos = sorted(DEMOS.glob("*.py"))
     assert demos

@@ -10,12 +10,11 @@ from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
                    eval_term, lambda_correction, moments, solve)
-from fdsl4.corrections import _eval_arrays, basis_values
 from fdsl4.recursion import closure_index0, solve_step
 from fdsl4.rhs import add_base_term, build_rhs
 
 from .conftest import eval_series, step_rhs
-from .oracles import power_matching_mismatch, product_expansion_pair, term_pairs
+from .oracles import horner_series, power_matching_mismatch, product_expansion_pair, term_pairs
 
 CTX = PrecisionContext(digits=120)
 TOL = None  # bound set per test at working precision
@@ -214,13 +213,13 @@ def _boundary_defects(term, ctx):
         w = mp.pi * term.n / term.X
         defects = []
         for x in (mpf(0), term.X):
-            basis = tuple(abs(v) for v in basis_values(term.n, term.X, x, ctx))
+            basis = tuple(abs(f(w * x)) for f in (mp.sin, mp.cos, mp.sinh, mp.cosh))
             sizes = tuple(tuple(abs(v) for v in arr) for arr in (term.a, term.b, term.c, term.d))
             for order in (0, 2):
                 if order:
                     sizes = _size_derivative(_size_derivative(sizes, w), w)
                 value = abs(eval_term(term, x, order, ctx=ctx))
-                defects.append(value / _eval_arrays(sizes, x, basis) if value else value)
+                defects.append(value / horner_series(sizes, x, basis) if value else value)
         return defects
 
 

@@ -1,6 +1,7 @@
 """Quadrature, residual norms, fixtures, and the sine-Galerkin oracle."""
 
 import logging
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -8,7 +9,7 @@ from mpmath import mp, mpf
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
 from fdsl4.numerics import matching_digits
-from fdsl4.verify import _doubled, build_galerkin, default_panels
+from fdsl4.verify import _doubled, _lu_factor, _lu_solve, build_galerkin, default_panels
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -150,15 +151,15 @@ def test_matching_digits():
 
 def test_galerkin_diagonal_for_zero_potentials():
     spec = ProblemSpec.make(2, [0, 0], [0, 0], [0, 0], CTX50)
-    oracle = build_galerkin(spec, 12, CTX50)
+    rows = build_galerkin(spec, 12, CTX50)
     with CTX50.workprec():
         for i in range(12):
             for j in range(12):
                 if i == j:
                     want = ((i + 1) * mp.pi / 2) ** 4
-                    assert abs(oracle.matrix[i][j] - want) < mpf(10) ** -40
+                    assert abs(rows[i][j] - want) < mpf(10) ** -40
                 else:
-                    assert abs(oracle.matrix[i][j]) < mpf(10) ** -40
+                    assert abs(rows[i][j]) < mpf(10) ** -40
 
 
 def test_galerkin_zero_potentials_inverse_iteration():
@@ -193,3 +194,38 @@ def test_galerkin_doubling_stability(x_potential):
     r2 = galerkin_nearest_eigenvalue(x_potential, lam, 120, CTX50)
     with CTX50.workprec():
         assert abs(r1 - r2) < abs(r2) * mpf(10) ** -8
+
+
+def _fixed_system(n=30, seed=7):
+    """Entries on a 1e-6 grid in [-1, 1]; A[0][0] is the smallest entry of its column."""
+    rng = random.Random(seed)
+    with CTX50.workprec():
+        rows = [[mpf(rng.randint(-10 ** 6, 10 ** 6)) / 10 ** 6 for _ in range(n)]
+                for _ in range(n)]
+        rows[0][0] = mpf("1e-3")
+        b = [mpf(rng.randint(-10 ** 6, 10 ** 6)) / 10 ** 6 for _ in range(n)]
+    return rows, b
+
+
+def test_lu_factor_and_solve_direct():
+    rows, b = _fixed_system()
+    n = len(rows)
+    lu, piv = _lu_factor(rows, CTX50)
+    assert piv[0] != 0  # the first column needs a row swap
+    assert sorted(piv) == list(range(n))
+    with CTX50.workprec():
+        tol = mpf(10) ** -(CTX50.digits - 5)
+        for i in range(n):
+            for j in range(n):
+                # (L U)[i][j]: L is unit lower, U upper, both packed in lu
+                products = [(lu[i][k] if k < i else 1) * lu[k][j] for k in range(min(i, j) + 1)]
+                assert abs(rows[piv[i]][j] - sum(products)) <= tol * sum(map(abs, products))
+        x = _lu_solve(lu, piv, b, CTX50)
+        size = max(sum(abs(a * v) for a, v in zip(row, x)) for row in rows)
+        assert max(abs(mp.fdot(row, x) - bi) for row, bi in zip(rows, b)) <= tol * size
+
+
+def test_lu_factor_exact_zero_pivot_raises():
+    # after the swap, 2 - (1/2) 4 is exactly zero
+    with pytest.raises(ZeroDivisionError):
+        _lu_factor([[mpf(1), mpf(2)], [mpf(2), mpf(4)]], CTX50)
