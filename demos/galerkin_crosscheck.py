@@ -6,7 +6,7 @@ operator matrix whose nearest eigenvalue to a shift is dug out by LU-based
 inverse iteration.  Agreement of many digits is therefore strong evidence
 that both are solving the right problem.
 
-Run time: about 13 seconds on one core (one LU factorization per index).
+Run time: about 4 seconds on one core (one LU factorization per index).
 """
 
 from mpmath import mp

@@ -113,11 +113,12 @@ def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
     """
     with ctx.workprec():
         wx = mp.pi * n / X * x
+        cos_wx, sin_wx = mp.cos_sin(wx)
         powers = [mpf(1)]
         for _ in range(top):
             powers.append(powers[-1] * x)
         return tuple(tuple(v * xp for xp in powers)
-                     for v in (mp.sin(wx), mp.cos(wx), mp.sinh(wx), mp.cosh(wx)))
+                     for v in (sin_wx, cos_wx, mp.sinh(wx), mp.cosh(wx)))
 
 
 def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:

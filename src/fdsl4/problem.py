@@ -24,13 +24,13 @@ supplied context, so a config round-trips bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .numerics import PrecisionContext
-
-GRID_POINTS_PER_DEGREE = 64  # sup-norm scan density
 
 
 class ProblemFormatError(ValueError):
@@ -97,41 +97,58 @@ def _poly_sub_scaled(p: Polynomial, q: Polynomial, scale) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def sup_norm(p: Polynomial, X, ctx: PrecisionContext) -> mpf:
-    """max of |p| over [0, X].
+def _poly_divmod(a: list, b: list):
+    """Quotient and remainder of exact polynomials (lowest degree first, b's
+    leading coefficient nonzero); the remainder has no trailing zeros."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = q[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+    a = a[:len(b) - 1]
+    while a and not a[-1]:
+        a.pop()
+    return q, a
 
-    Scans a dense grid (64 points per degree, endpoints included), then
-    refines the best bracket by golden-section search to ~1e-15 relative.
-    That is far more accuracy than the convergence diagnostics consuming
-    this value can use.
+
+def _critical_points(p: Polynomial) -> list:
+    """The distinct roots of p', each once, from ``mp.polyroots``.
+
+    p' is formed exactly (the coefficients are binary fractions), and its
+    square-free part p' / gcd(p', p'') by Euclid over the rationals, so a
+    repeated root cannot stall the Durand-Kerner iteration.  Complex roots
+    are returned too.
+    """
+    d = [k * Fraction(*to_rational(mpf(c)._mpf_)) for k, c in enumerate(p.coeffs)][1:]
+    while d and not d[-1]:
+        d.pop()
+    if len(d) < 2:
+        return []
+    g, r = d, [k * c for k, c in enumerate(d)][1:]
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    squarefree = _poly_divmod(d, g)[0]
+    # A cluster of roots 2^-k across, such as the split triple root of a
+    # decimal (x - 0.3)^4, needs about k extra bits and steps to settle.
+    return mp.polyroots([mp.fdiv(c.numerator, c.denominator) for c in reversed(squarefree)],
+                        maxsteps=mp.prec, extraprec=mp.prec)
+
+
+def sup_norm(p: Polynomial, X, ctx: PrecisionContext) -> mpf:
+    """max of |p| over [0, X], to working precision.
+
+    |p| is evaluated at 0, at X and at the real part of every critical point
+    (root of p') whose real part lies in [0, X].  Taking the real part of
+    every root, not only of those with a zero imaginary part, keeps a real
+    root whose imaginary part came out as rounding noise; the extra points
+    lie in [0, X], so they cannot raise the maximum.
     """
     with ctx.workprec():
         X = mpf(X)
         if X <= 0:
             raise ValueError("interval length must be positive")
-        npts = GRID_POINTS_PER_DEGREE * (p.degree + 1) + 1
-        h = X / (npts - 1)
-        values = [abs(poly_eval(p, k * h)) for k in range(npts)]
-        best = max(range(npts), key=lambda k: values[k])
-        lo = max(best - 1, 0) * h
-        hi = min(best + 1, npts - 1) * h
-        # golden-section maximization of |p| on [lo, hi]
-        invphi = (mp.sqrt(5) - 1) / 2
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = abs(poly_eval(p, c)), abs(poly_eval(p, d))
-        tol = mpf("1e-15") * X
-        while b - a > tol:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = abs(poly_eval(p, c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = abs(poly_eval(p, d))
-        return max(values[best], fc, fd)
+        points = [mpf(0), X] + [x for x in map(mp.re, _critical_points(p)) if 0 <= x <= X]
+        return max(abs(poly_eval(p, x)) for x in points)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,14 @@ instruments:
 The sums are the solver's own primitive, one exactly rounded dot product
 (``mp.fdot``) each: point values pair a term with the columns of
 :func:`~fdsl4.corrections.basis_values` through
-:func:`~fdsl4.corrections.series_dot`, and a quadrature sum, a Galerkin
-entry, an L or U entry of the left-looking LU, a row of the triangular
-solves and the Rayleigh quotient are one ``fdot`` each.  The Gauss-Legendre
-nodes come from ``mp.gauss_quadrature``.
+:func:`~fdsl4.corrections.series_dot`, and a quadrature sum and a Galerkin
+entry are one ``fdot`` each.  The Gauss-Legendre nodes come from
+``mp.gauss_quadrature``.  The oracle's dense algebra runs on Python integers:
+the shifted matrix is converted once to integers sharing one binary
+exponent, set by its largest entry with mp.prec + 64 bits below it.  Each L
+or U entry of the left-looking LU and each row of the triangular solves is
+an exact integer dot product rounded once, and the Rayleigh sums are exact,
+with one rounding at the division.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain, zip_longest
+from operator import mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_shift, round_nearest, to_int
 
 from .corrections import (FDSolution, _derivative_arrays, basis_values, lambda_partials,
                           series_dot)
@@ -246,6 +252,7 @@ def load_fixtures() -> FixtureSet:
 # --- sine-Galerkin oracle -------------------------------------------------------
 
 MAX_INVERSE_ITERATIONS = 60
+GUARD_BITS = 64   # bits kept below the largest entry beyond mp.prec
 
 
 def _sine_cosine_integrals(X, max_power: int, max_freq: int, ctx: PrecisionContext):
@@ -299,53 +306,68 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
         return tuple(rows)
 
 
+def _fixed(value, e: int) -> int:
+    """The integer nearest value / 2^e (exact shift, one rounding)."""
+    return to_int(mpf_shift(value._mpf_, -e), round_nearest)
+
+
 def _lu_factor(rows, ctx: PrecisionContext):
-    """Left-looking (Crout) LU with partial pivoting: P A = L U, L unit lower.
+    """Left-looking (Crout) LU with partial pivoting, P A = L U, on scaled integers.
 
-    Step k forms column k of L and then row k of U from the finished rows and
-    columns; each entry is one exactly rounded dot product that includes the
-    matrix entry it corrects.  Returns the packed factors and the row order.
+    The matrix is converted once to integers times 2^e, with e set by its
+    largest entry so that entry keeps mp.prec + GUARD_BITS bits; U shares
+    that scale, and the unit lower L, whose entries are at most 1, carries
+    ``bits`` = mp.prec + GUARD_BITS fraction bits.  Step k forms column k of
+    L and then row k of U from the finished rows and columns.  Each entry is
+    the matrix entry it corrects minus one exact integer dot product shifted
+    down by ``bits``, so it is rounded once; an L entry is then one floor
+    division by the pivot.  Returns the packed integer factors, the row
+    order, e and bits.
     """
-    n = len(rows)
-    lu = [list(r) for r in rows]
-    piv = list(range(n))
-    # neg_u[j] = [1, -U[0][j], ..., -U[k-1][j]], paired with [A[i][j], L[i][0], ...]
-    neg_u = [[1] for _ in range(n)]
     with ctx.workprec():
-        for k in range(n):
-            for i in range(k, n):
-                row = lu[i]
-                row[k] = mp.fdot([row[k]] + row[:k], neg_u[k])
-            pivot = max(range(k, n), key=lambda i: abs(lu[i][k]))
-            if lu[pivot][k] == 0:
-                raise ZeroDivisionError("singular shifted matrix; perturb the shift")
-            if pivot != k:
-                lu[k], lu[pivot] = lu[pivot], lu[k]
-                piv[k], piv[pivot] = piv[pivot], piv[k]
-            u_kk = lu[k][k]
-            for i in range(k + 1, n):
-                lu[i][k] /= u_kk
-            row_k, l_k = lu[k], lu[k][:k]
-            for j in range(k + 1, n):
-                row_k[j] = mp.fdot([row_k[j]] + l_k, neg_u[j])
-                neg_u[j].append(-row_k[j])
-    return lu, piv
-
-
-def _lu_solve(lu, piv, b, ctx: PrecisionContext):
-    """Solve A x = b from :func:`_lu_factor`'s factors; each row one dot product."""
+        bits = mp.prec + GUARD_BITS
+        e = max((mp.mag(v) for row in rows for v in row if v), default=0) - bits
+        lu = [[_fixed(v, e) for v in row] for row in rows]
     n = len(lu)
-    with ctx.workprec():
-        y, neg = [], [1]
-        for i in range(n):
-            y.append(mp.fdot([b[piv[i]]] + lu[i][:i], neg))
-            neg.append(-y[i])
-        x, neg = [None] * n, [1]   # neg = [1, -x[n-1], ..., -x[i+1]]
-        for i in range(n - 1, -1, -1):
+    piv = list(range(n))
+    u_cols = [[] for _ in range(n)]   # u_cols[j] = [U[0][j], ..., U[k-1][j]]
+    for k in range(n):
+        for i in range(k, n):
             row = lu[i]
-            x[i] = mp.fdot([y[i]] + row[:i:-1], neg) / row[i]
-            neg.append(-x[i])
-        return x
+            row[k] -= sum(map(mul, row[:k], u_cols[k])) >> bits
+        pivot = max(range(k, n), key=lambda i: abs(lu[i][k]))
+        if lu[pivot][k] == 0:
+            raise ZeroDivisionError("singular shifted matrix; perturb the shift")
+        if pivot != k:
+            lu[k], lu[pivot] = lu[pivot], lu[k]
+            piv[k], piv[pivot] = piv[pivot], piv[k]
+        u_kk = lu[k][k]
+        for i in range(k + 1, n):
+            lu[i][k] = (lu[i][k] << bits) // u_kk
+        row_k, l_k = lu[k], lu[k][:k]
+        for j in range(k + 1, n):
+            row_k[j] -= sum(map(mul, l_k, u_cols[j])) >> bits
+            u_cols[j].append(row_k[j])
+    return lu, piv, e, bits
+
+
+def _lu_solve(lu, piv, b, bits: int) -> list:
+    """Solve A x = b from :func:`_lu_factor`'s integer factors.
+
+    ``b`` is given as integers b * 2^bits.  Returns x * 2^(e + 2 bits) as
+    integers: the back substitution lifts y by 2^bits first, so the largest
+    entry of x keeps about ``bits`` bits however small x is.  Each row is one
+    exact integer dot product and one rounding.
+    """
+    n = len(lu)
+    y = []
+    for i in range(n):
+        y.append(b[piv[i]] - (sum(map(mul, lu[i][:i], y)) >> bits))
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        x[i] = ((y[i] << bits) - sum(map(mul, row[i + 1:], x[i + 1:]))) // row[i]
+    return x
 
 
 def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
@@ -355,6 +377,9 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     Shifted inverse iteration: one LU factorization of (A - shift I), then
     repeated solves; the Rayleigh quotient of the iterate is returned once it
     settles to ~1e-12 relative.  Raises OracleConvergenceError otherwise.
+    The iterate v is kept as integers v * 2^bits with max |v| = 1, and the
+    unshifted rows at the factors' scale 2^e, so the Rayleigh sums are exact
+    and the quotient is rounded once.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -362,10 +387,10 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     with ctx.workprec():
         shift = mpf(shift)
         for _ in range(3):
-            shifted = [[e - shift if i == j else e for j, e in enumerate(row)]
+            shifted = [[v - shift if i == j else v for j, v in enumerate(row)]
                        for i, row in enumerate(rows)]
             try:
-                lu, piv = _lu_factor(shifted, ctx)
+                lu, piv, e, bits = _lu_factor(shifted, ctx)
                 break
             except ZeroDivisionError:
                 # shift sits exactly on an oracle eigenvalue; nudge it
@@ -373,20 +398,22 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
         else:
             raise OracleConvergenceError(
                 "shifted matrix stayed singular after perturbing the shift")
-        v = [mpf(1)] * N
+        a = [[_fixed(v, e) for v in row] for row in rows]
+        v = [1 << bits] * N
         ritz_prev = None
         reltol = mpf(10) ** (-min(12, ctx.digits // 2))
         for _ in range(MAX_INVERSE_ITERATIONS):
-            y = _lu_solve(lu, piv, v, ctx)
-            norm = max(abs(c) for c in y)
-            v = [c / norm for c in y]
-            av = [mp.fdot(row, v) for row in rows]
-            vv = mp.fdot(v, v)
-            ritz = mp.fdot(av, v) / vv
+            y = _lu_solve(lu, piv, v, bits)
+            norm = max(map(abs, y))
+            v = [(c << bits) // norm for c in y]
+            av = [sum(map(mul, row, v)) for row in a]
+            vv = sum(map(mul, v, v))
+            ritz = mp.ldexp(mp.fdiv(sum(map(mul, av, v)), vv), e)
             if ritz_prev is not None and abs(ritz - ritz_prev) <= reltol * abs(ritz):
                 return ritz
             ritz_prev = ritz
-        res = [a - ritz * c for a, c in zip(av, v)]
+        res = [mp.ldexp(p, e - bits) - ritz * mp.ldexp(c, -bits) for p, c in zip(av, v)]
         raise OracleConvergenceError(
             f"inverse iteration did not settle after {MAX_INVERSE_ITERATIONS} iterations; "
-            f"last Rayleigh residual {mp.nstr(mp.sqrt(mp.fdot(res, res) / vv), 5)}")
+            f"last Rayleigh residual "
+            f"{mp.nstr(mp.sqrt(mp.fdot(res, res) / mp.ldexp(vv, -2 * bits)), 5)}")

@@ -7,8 +7,9 @@ walks, the scalar power-matching relations instead of the walks, a closed-form
 eigenvalue correction instead of the moment-table projection, the
 closed-form moment sums instead of the exponential-moment recurrences,
 sequential multiply-adds instead of one dot product per right-hand-side
-coefficient, Horner loops instead of one dot product per point value, and
-the majorant-chain envelope of the eigenvalue corrections.
+coefficient, Horner loops instead of one dot product per point value, the
+majorant-chain envelope of the eigenvalue corrections, and an mpf Crout LU
+with one ``fdot`` per entry instead of the Galerkin oracle's scaled integers.
 """
 
 import itertools
@@ -330,3 +331,81 @@ def closed_form_moments(n, X, T, ctx):
             mu.append(u)
         return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
                            eta=tuple(eta), mu=tuple(mu))
+
+
+# --- the Galerkin oracle's dense algebra in mpf, one fdot per entry ----------
+
+def fdot_lu_factor(rows, ctx):
+    """Left-looking (Crout) LU with partial pivoting on mpf entries.
+
+    The form :func:`fdsl4.verify._lu_factor` replaced: each L or U entry is
+    one exactly rounded dot product that includes the matrix entry it
+    corrects, and each L entry is then divided by the pivot.  Returns the
+    packed factors (L unit lower) and the row order.
+    """
+    n = len(rows)
+    lu = [list(r) for r in rows]
+    piv = list(range(n))
+    # neg_u[j] = [1, -U[0][j], ..., -U[k-1][j]], paired with [A[i][j], L[i][0], ...]
+    neg_u = [[1] for _ in range(n)]
+    with ctx.workprec():
+        for k in range(n):
+            for i in range(k, n):
+                row = lu[i]
+                row[k] = mp.fdot([row[k]] + row[:k], neg_u[k])
+            pivot = max(range(k, n), key=lambda i: abs(lu[i][k]))
+            if lu[pivot][k] == 0:
+                raise ZeroDivisionError("singular matrix")
+            if pivot != k:
+                lu[k], lu[pivot] = lu[pivot], lu[k]
+                piv[k], piv[pivot] = piv[pivot], piv[k]
+            u_kk = lu[k][k]
+            for i in range(k + 1, n):
+                lu[i][k] /= u_kk
+            row_k, l_k = lu[k], lu[k][:k]
+            for j in range(k + 1, n):
+                row_k[j] = mp.fdot([row_k[j]] + l_k, neg_u[j])
+                neg_u[j].append(-row_k[j])
+    return lu, piv
+
+
+def fdot_lu_solve(lu, piv, b, ctx):
+    """Solve A x = b from :func:`fdot_lu_factor`'s factors; each row one fdot."""
+    n = len(lu)
+    with ctx.workprec():
+        y, neg = [], [1]
+        for i in range(n):
+            y.append(mp.fdot([b[piv[i]]] + lu[i][:i], neg))
+            neg.append(-y[i])
+        x, neg = [None] * n, [1]   # neg = [1, -x[n-1], ..., -x[i+1]]
+        for i in range(n - 1, -1, -1):
+            row = lu[i]
+            x[i] = mp.fdot([y[i]] + row[:i:-1], neg) / row[i]
+            neg.append(-x[i])
+        return x
+
+
+def fdot_nearest_eigenvalue(rows, shift, ctx, max_iter=60):
+    """Shifted inverse iteration on mpf rows through :func:`fdot_lu_factor`.
+
+    The loop of :func:`fdsl4.verify.galerkin_nearest_eigenvalue` (same start
+    vector, normalization and stopping rule) with every sum an ``fdot``.
+    """
+    with ctx.workprec():
+        shift = mpf(shift)
+        shifted = [[v - shift if i == j else v for j, v in enumerate(row)]
+                   for i, row in enumerate(rows)]
+        lu, piv = fdot_lu_factor(shifted, ctx)
+        v = [mpf(1)] * len(rows)
+        ritz_prev = None
+        reltol = mpf(10) ** (-min(12, ctx.digits // 2))
+        for _ in range(max_iter):
+            y = fdot_lu_solve(lu, piv, v, ctx)
+            norm = max(abs(c) for c in y)
+            v = [c / norm for c in y]
+            av = [mp.fdot(row, v) for row in rows]
+            ritz = mp.fdot(av, v) / mp.fdot(v, v)
+            if ritz_prev is not None and abs(ritz - ritz_prev) <= reltol * abs(ritz):
+                return ritz
+            ritz_prev = ritz
+        raise RuntimeError("reference inverse iteration did not settle")

@@ -212,6 +212,23 @@ def test_series_dot_rejects_short_column():
             series_dot(arrays, basis_values(1, mpf(1), mpf("0.3"), 0, CTX))
 
 
+@pytest.mark.parametrize("n, X, x", [(1, "1", "0.3"), (7, "5", "4.99"), (40, "0.5", "0.123"),
+                                     (3, "2", "0"), (13, "1", "1")])
+def test_basis_values_trig_columns_exact(n, X, x):
+    # the sin and cos columns are mp.sin(wx) x^p and mp.cos(wx) x^p bit for
+    # bit, x^p taken as the running product x * x * ... that the columns use
+    ctx = PrecisionContext(digits=300)
+    with ctx.workprec():
+        X, x = mpf(X), mpf(x)
+        wx = mp.pi * n / X * x
+        powers = [mpf(1)]
+        for _ in range(6):
+            powers.append(powers[-1] * x)
+        sin_col, cos_col = basis_values(n, X, x, 6, ctx)[:2]
+        assert sin_col == tuple(mp.sin(wx) * xp for xp in powers)
+        assert cos_col == tuple(mp.cos(wx) * xp for xp in powers)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["0.5", "1", "2", "5"]),
        st.integers(min_value=1, max_value=30),

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, omega, parse_problem
 from fdsl4.problem import (Polynomial, ProblemFormatError, poly_derivative,
@@ -68,6 +68,34 @@ def test_sup_norm_parabola_vertex():
     v = sup_norm(P(0, 1, -1), 1, CTX)
     with CTX.workprec():
         assert abs(v - mpf("0.25")) < mpf(10) ** -12
+
+
+def test_sup_norm_irrational_extremum(ctx300):
+    # 3x^4 - 8x^3 - 6x^2 has p' = 12x(x^2 - 2x - 1): on [0, 3] the maximum of
+    # |p| is at x = 1 + sqrt 2, where |p| = 23 + 16 sqrt 2 (|p(3)| is 27)
+    p = Polynomial.from_values([0, 0, -6, -8, 3], ctx300)
+    v = sup_norm(p, 3, ctx300)
+    with ctx300.workprec():
+        assert abs(v - (23 + 16 * mp.sqrt(2))) < mpf(10) ** -250
+
+
+@pytest.mark.parametrize("case", ["triple root", "roots 2^-900 apart", "decimal (x - 0.3)^4"])
+def test_sup_norm_close_critical_points(ctx300, case):
+    # mp.polyroots with its defaults does not converge on any of these p':
+    # 4 (x - 1)^3; 12 (x - 1)(x - 1 - delta)(x + 2) with delta = 2^-900; and
+    # the derivative of (x - 0.3)^4 with decimal coefficients, whose triple
+    # root rounding splits by about 1e-105.  Every maximum is at x = X.
+    with ctx300.workprec():
+        delta = mp.ldexp(1, -900)
+        coeffs, X, want = {
+            "triple root": ([1, -4, 6, -4, 1], 3, mpf(16)),
+            "roots 2^-900 apart": ([0, 24 + 24 * delta, -18 - 6 * delta, -4 * delta, 3], 3,
+                                   153 - 90 * delta),
+            "decimal (x - 0.3)^4": (["0.0081", "-0.108", "0.54", "-1.2", "1"], 1,
+                                    mpf("0.2401")),
+        }[case]
+        v = sup_norm(Polynomial.from_values(coeffs, ctx300), X, ctx300)
+        assert abs(v - want) < mpf(10) ** -290
 
 
 def test_sup_norm_dominates_samples():

@@ -9,7 +9,10 @@ from mpmath import mp, mpf
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
 from fdsl4.numerics import matching_digits
-from fdsl4.verify import _doubled, _lu_factor, _lu_solve, build_galerkin, default_panels
+from fdsl4.verify import (_doubled, _fixed, _lu_factor, _lu_solve, build_galerkin,
+                          default_panels)
+
+from .oracles import fdot_nearest_eigenvalue
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -196,6 +199,14 @@ def test_galerkin_doubling_stability(x_potential):
         assert abs(r1 - r2) < abs(r2) * mpf(10) ** -8
 
 
+def test_galerkin_unsettled_iteration_reports_residual(x_potential, monkeypatch):
+    # one iteration never settles; the residual is the one the mpf loop gave
+    monkeypatch.setattr(verify, "MAX_INVERSE_ITERATIONS", 1)
+    with pytest.raises(verify.OracleConvergenceError,
+                       match="after 1 iterations; last Rayleigh residual 9.1139"):
+        galerkin_nearest_eigenvalue(x_potential, 100, 20, CTX50)
+
+
 def _fixed_system(n=30, seed=7):
     """Entries on a 1e-6 grid in [-1, 1]; A[0][0] is the smallest entry of its column."""
     rng = random.Random(seed)
@@ -207,20 +218,31 @@ def _fixed_system(n=30, seed=7):
     return rows, b
 
 
+def _unpacked(lu, e, bits):
+    """The packed integer factors as mpf: L (unit lower, 2^-bits) and U (2^e)."""
+    n = len(lu)
+    L = [[mp.ldexp(lu[i][k], -bits) if k < i else mpf(k == i) for k in range(n)]
+         for i in range(n)]
+    U = [[mp.ldexp(lu[k][j], e) if j >= k else mpf(0) for j in range(n)] for k in range(n)]
+    return L, U
+
+
 def test_lu_factor_and_solve_direct():
     rows, b = _fixed_system()
     n = len(rows)
-    lu, piv = _lu_factor(rows, CTX50)
+    lu, piv, e, bits = _lu_factor(rows, CTX50)
     assert piv[0] != 0  # the first column needs a row swap
     assert sorted(piv) == list(range(n))
     with CTX50.workprec():
+        L, U = _unpacked(lu, e, bits)
         tol = mpf(10) ** -(CTX50.digits - 5)
         for i in range(n):
             for j in range(n):
-                # (L U)[i][j]: L is unit lower, U upper, both packed in lu
-                products = [(lu[i][k] if k < i else 1) * lu[k][j] for k in range(min(i, j) + 1)]
+                products = [L[i][k] * U[k][j] for k in range(min(i, j) + 1)]
                 assert abs(rows[piv[i]][j] - sum(products)) <= tol * sum(map(abs, products))
-        x = _lu_solve(lu, piv, b, CTX50)
+        # b enters with bits fraction bits; x comes back scaled by 2^(e + 2 bits)
+        x = [mp.ldexp(v, -(e + 2 * bits))
+             for v in _lu_solve(lu, piv, [_fixed(v, -bits) for v in b], bits)]
         size = max(sum(abs(a * v) for a, v in zip(row, x)) for row in rows)
         assert max(abs(mp.fdot(row, x) - bi) for row, bi in zip(rows, b)) <= tol * size
 
@@ -229,3 +251,44 @@ def test_lu_factor_exact_zero_pivot_raises():
     # after the swap, 2 - (1/2) 4 is exactly zero
     with pytest.raises(ZeroDivisionError):
         _lu_factor([[mpf(1), mpf(2)], [mpf(2), mpf(4)]], CTX50)
+
+
+@pytest.mark.parametrize("power", [400, -400])
+def test_lu_factor_scales_with_the_matrix(power):
+    # the scale follows the largest entry: 2^power A has the same integer
+    # factors and pivots, at 2^power times the scale of U
+    rows, _ = _fixed_system()
+    lu, piv, e, bits = _lu_factor(rows, CTX50)
+    with CTX50.workprec():
+        scaled = [[mp.ldexp(v, power) for v in row] for row in rows]
+    assert _lu_factor(scaled, CTX50) == (lu, piv, e + power, bits)
+
+
+@pytest.mark.parametrize("name", ["benchmark1", "benchmark2"])
+def test_integer_lu_matches_fdot_reference(name, request):
+    # the Ritz value near lambda_2 from the integer factors and from the
+    # mpf Crout LU with one fdot per entry agree to 45 of 50 digits
+    spec = request.getfixturevalue(name)
+    fx = load_fixtures()
+    shift = fx.b1_exact[2] if name == "benchmark1" else fx.b2_rank10[2]
+    rows = build_galerkin(spec, 30, CTX50)
+    ritz = galerkin_nearest_eigenvalue(spec, shift, 30, CTX50)
+    ref = fdot_nearest_eigenvalue(rows, shift, CTX50)
+    assert matching_digits(ritz, ref, CTX50) >= 45
+
+
+@pytest.mark.parametrize("name", ["benchmark1", "benchmark2"])
+def test_oracle_matches_dense_eigensolver(name, request):
+    # mp.eig (Hessenberg QR) shares no code with either LU.  The stopping
+    # rule (successive Ritz values within 1e-12) leaves a shift 7 digits off
+    # with about 29 digits, so the fixture shift is refined once by the oracle.
+    spec = request.getfixturevalue(name)
+    fx = load_fixtures()
+    shift = fx.b1_exact[2] if name == "benchmark1" else fx.b2_rank10[2]
+    shift = galerkin_nearest_eigenvalue(spec, shift, 12, CTX50)
+    ritz = galerkin_nearest_eigenvalue(spec, shift, 12, CTX50)
+    with CTX50.workprec():
+        eigs = mp.eig(mp.matrix(build_galerkin(spec, 12, CTX50)), left=False, right=False)
+        nearest = min(eigs, key=lambda z: abs(z - shift))
+        assert abs(mp.im(nearest)) <= abs(nearest) * mpf(10) ** -45
+    assert matching_digits(ritz, mp.re(nearest), CTX50) >= 45
