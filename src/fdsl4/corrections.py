@@ -12,9 +12,10 @@ one that is at most it.
 
 Differentiation maps this family to itself by an exact coefficient
 transformation, so derivatives up to the fourth order (needed for residual
-norms) never touch finite differences.  Every linear functional of a series
-(a moment projection, a point value) is one exactly rounded dot product of
-its four arrays with the functional's four columns, :func:`series_dot`.
+norms) never touch finite differences; a term's orders 0..4 are cached as
+one tuple.  Every linear functional of a series (a moment projection, a
+point value) is one exactly rounded dot product of its four arrays with the
+functional's four columns, :func:`series_dot`.
 
 The base eigenpair of the hinged problem with zero potentials is
 sqrt(2/X) sin(n pi x / X) with eigenvalue (n pi / X)^4; it seeds the
@@ -83,14 +84,15 @@ def _differentiate(arrays, w):
 
 
 @lru_cache(maxsize=4096)
-def _derivative_arrays(term: CorrectionTerm, order: int, dps: int):
-    """Coefficient arrays of the order-th derivative at dps digits."""
+def _derivative_arrays(term: CorrectionTerm, dps: int):
+    """Coefficient arrays of the term and of its derivatives of orders 1..4,
+    indexed by order, at dps digits."""
     with mp.workdps(dps):
         w = mp.pi * term.n / term.X
-        arrays = (term.a, term.b, term.c, term.d)
-        for _ in range(order):
-            arrays = _differentiate(arrays, w)
-        return arrays
+        orders = [(term.a, term.b, term.c, term.d)]
+        for _ in range(4):
+            orders.append(_differentiate(orders[-1], w))
+        return tuple(orders)
 
 
 def series_dot(arrays, columns) -> mpf:
@@ -131,8 +133,8 @@ def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:
         if x < 0 or x > first.X:
             raise ValueError(f"x={x} outside [0, {first.X}]")
         columns = basis_values(first.n, first.X, x, max(len(t.a) for t in terms) - 1, ctx)
-        return mp.fsum(series_dot(_derivative_arrays(t, deriv, mp.dps) if deriv else
-                                  (t.a, t.b, t.c, t.d), columns) for t in terms)
+        return mp.fsum(series_dot(_derivative_arrays(t, mp.dps)[deriv], columns)
+                       for t in terms)
 
 
 def eval_term(term: CorrectionTerm, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:

@@ -17,8 +17,9 @@ A problem can be built in code or parsed from a small key-value config file::
     q1 = [0, -0.04]
     q2 = [0, 0, -0.02]
 
-Coefficient entries are decimal strings parsed at the full precision of the
-supplied context, so a config round-trips bit-exactly.
+Each key appears exactly once.  Coefficient entries are decimal strings
+parsed at the full precision of the supplied context, so a config
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -225,8 +226,9 @@ def _finite(text: str, what: str, lineno: int, ctx: PrecisionContext) -> mpf:
 def parse_problem(text: str, ctx: PrecisionContext) -> ProblemSpec:
     """Parse the key-value config format documented in the module docstring.
 
-    Every error is a ProblemFormatError; one that ProblemSpec raises (a
-    non-positive X) names the X line.
+    Every error is a ProblemFormatError; a repeated key names the line of
+    the repeat, and one that ProblemSpec raises (a non-positive X) names the
+    X line.
     """
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,7 +240,10 @@ def parse_problem(text: str, ctx: PrecisionContext) -> ProblemSpec:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key == "x":
+        name = "X" if key == "x" else key
+        if name in fields:
+            raise ProblemFormatError(f"repeated key {name!r}", lineno)
+        if name == "X":
             fields["X"] = _finite(value, "X", lineno, ctx)
             x_line = lineno
         elif key in ("q0", "q1", "q2"):

@@ -24,9 +24,9 @@ Each row is one exactly rounded dot product of four pairs (``mp.fdot``).  The
 coefficients above the budgets, M(j+1) for a, b and M(j) for c, d, are zero,
 so one downward loop starts from three zero rows and runs to power 1.
 Power 0 spans the kernel of u'''' - lambda0 u; it is closed from the boundary
-conditions (dot products against X^t) plus orthogonality against the base
-eigenfunction, the projection that also gives lambda^(j+1)
-(:meth:`fdsl4.spectral.MomentTable.project`).
+conditions (u(X) pairs with the moment table's point columns at X) plus
+orthogonality against the base eigenfunction, the projection that also gives
+lambda^(j+1) (:meth:`fdsl4.spectral.MomentTable.project`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 
 from mpmath import mp, mpf
 
+from .corrections import series_dot
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
 
@@ -47,33 +48,24 @@ def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
     """Power-0 coefficients from the boundary conditions and orthogonality.
 
     ``a`` .. ``d`` are the walked arrays indexed by power; their entry 0 is
-    not read.  The hinged conditions at 0 give the cos/cosh pair directly;
-    the condition at X fixes the sinh coefficient through the closed
-    boundary sums; orthogonality against the base eigenfunction then pins
-    the sin coefficient via the cached moment integrals.
+    not read.  The hinged conditions at 0 give the cos/cosh pair directly.
+    u(X) = 0 is one :func:`~fdsl4.corrections.series_dot` of the cos, sinh
+    and cosh families against the table's point columns at X, taken with
+    c0 = 0 and solved for the sinh coefficient c0.  Orthogonality against the base eigenfunction, the
+    moment-table projection, then pins the sin coefficient a0.
     """
-    M0 = len(c) - 1
     with ctx.workprec():
-        X = spec.X
-        iw = X / (mp.pi * n)
-        c1 = c[1] if M0 >= 1 else mpf(0)
-        d2 = d[2] if M0 >= 2 else mpf(0)
+        iw = spec.X / (mp.pi * n)
+        c1 = c[1] if len(c) > 1 else mpf(0)
+        d2 = d[2] if len(d) > 2 else mpf(0)
         b0 = iw * (a[1] + c1 + iw * (b[2] + d2))
         d0 = -b0
-
-        powers = [mpf(1)]  # X^t by repeated multiplication
-        for _ in range(max(len(a), len(c)) - 1):
-            powers.append(powers[-1] * X)
-        cos_pn = mpf(-1) ** n
-        sinh_pn = mp.sinh(mp.pi * n)
-        cosh_pn = mp.cosh(mp.pi * n)
-        b_sum = b0 + mp.fdot(zip(powers[1:], b[1:]))
-        d_sum = d0 + mp.fdot(zip(powers[1:], d[1:]))
-        c0 = -(b_sum * cos_pn + d_sum * cosh_pn) / sinh_pn - mp.fdot(zip(powers[1:], c[1:]))
-
+        u = [(0, *a[1:]), (b0, *b[1:]), (0, *c[1:]), (d0, *d[1:])]
+        # sin(pi n) = 0: the rounded sin column at X would only add noise
+        c0 = -series_dot(((), *u[1:]), moments.at_X) / moments.at_X[2][0]
+        u[2] = (c0, *c[1:])
         # a0 is the unknown that alpha[0] multiplies, and beta[0] = 0
-        ortho = moments.project(((0, *a[1:]), (0, *b[1:]), (c0, *c[1:]), (d0, *d[1:])))
-        a0 = -2 / X * ortho
+        a0 = -moments.project(u) / moments.alpha[0]
         return a0, b0, c0, d0
 
 

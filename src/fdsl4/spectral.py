@@ -7,6 +7,8 @@ exponential moments J_t(z) = int x^t e^(z x) dx, z in {2iw, (1+i)w, (-1+i)w}.
 Integration by parts links J_t to J_(t-1); run in its stable direction on
 each side of t = |z X| it fills a :class:`MomentTable` in O(T) operations
 that stay accurate as T grows, once per (n, rank), shared by every step.
+The table also carries the point columns at X, which the closure's u(X) = 0
+condition pairs with each new correction.
 
 One step of the method is the three-part FD step: apply the potential part
 of the operator to the newest correction in the mixed basis
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from . import recursion
-from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, series_dot
+from .corrections import (CorrectionTerm, FDSolution, assemble, base_pair, basis_values,
+                          series_dot)
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
 from .rhs import add_base_term, build_rhs
@@ -43,6 +46,7 @@ class MomentTable:
     beta: tuple   # integral of x^t sin(w x) cos(w x)
     eta: tuple    # integral of x^t sin(w x) cosh(w x)
     mu: tuple     # integral of x^t sin(w x) sinh(w x)
+    at_X: tuple   # point columns X^t (sin, cos, sinh, cosh)(pi n), basis_values at X
 
     def project(self, arrays) -> mpf:
         """Integral of the (sin, cos, sinh, cosh) series ``arrays`` times sin(w x).
@@ -81,7 +85,8 @@ def _exp_moments(Z, E, T: int) -> list:
 
 
 def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
-    """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t)."""
+    """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t),
+    with the point columns at X that the closure's u(X) = 0 condition pairs."""
     if n < 1:
         raise ValueError("eigenpair index must be >= 1")
     if T < 0:
@@ -101,7 +106,7 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
             eta.append(half * (grow[t].imag + decay[t].imag))
             mu.append(half * (grow[t].imag - decay[t].imag))
         return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
-                           eta=tuple(eta), mu=tuple(mu))
+                           eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
 
 
 def lambda_correction(rhs: tuple, table: MomentTable, ctx: PrecisionContext) -> mpf:

@@ -22,7 +22,8 @@ instruments:
   oracle shares no code path with the correction recursion.
 
 The sums are the solver's own primitive, one exactly rounded dot product
-(``mp.fdot``) each: point values pair a term with the columns of
+(``mp.fdot``) each: point values pair a term, or one of its derivatives from
+the term's cached tuple of orders 0..4, with the columns of
 :func:`~fdsl4.corrections.basis_values` through
 :func:`~fdsl4.corrections.series_dot`, and a quadrature sum and a Galerkin
 entry are one ``fdot`` each.  The Gauss-Legendre nodes come from
@@ -129,48 +130,36 @@ def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
 
 # --- residual norms -----------------------------------------------------------
 
-def _term_arrays(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
-    """Coefficient arrays (u, u'''', u'', u') of every term, for one pass.
-
-    Looked up once per quadrature pass rather than once per node.  The u''
-    and u' entries are None where q2 or q1 vanishes identically.
-    """
-    has_q1 = any(c != 0 for c in spec.q1.coeffs)
-    has_q2 = any(c != 0 for c in spec.q2.coeffs)
-    with ctx.workprec():
-        return [((t.a, t.b, t.c, t.d),
-                 _derivative_arrays(t, 4, mp.dps),
-                 _derivative_arrays(t, 2, mp.dps) if has_q2 else None,
-                 _derivative_arrays(t, 1, mp.dps) if has_q1 else None)
-                for t in sol.terms]
-
-
 def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
                         ctx: PrecisionContext):
     """Integral of the squared residual for every rank 0..m at one panel count.
 
-    At each node the point-evaluation columns are built once and shared by
-    every term and derivative order.  The residual of the rank-k truncation
+    Each term's tuple of derivative orders 0..4 is looked up once per pass,
+    and at each node the point-evaluation columns are built once and shared
+    by every term and order; the u' and u'' pairings are skipped where q1 or
+    q2 vanishes identically.  The residual of the rank-k truncation
     is the sum over steps up to k of (u'''' + q2 u'' + q1 u' + q0 u) minus
     the rank-k eigenvalue times the sum of u.
     """
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
         lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
-        arrays = _term_arrays(sol, spec, ctx)
+        arrays = [_derivative_arrays(t, mp.dps) for t in sol.terms]
+        has_q1 = any(c != 0 for c in spec.q1.coeffs)
+        has_q2 = any(c != 0 for c in spec.q2.coeffs)
         top = max(len(t.a) for t in sol.terms) - 1
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):
             columns = basis_values(sol.n, sol.X, x, top, ctx)
             q0x, q1x, q2x = (poly_eval(q, x) for q in (spec.q0, spec.q1, spec.q2))
             op_sum = val_sum = mpf(0)
-            for k, (u0_arr, u4_arr, u2_arr, u1_arr) in enumerate(arrays):
-                u0 = series_dot(u0_arr, columns)
-                op = series_dot(u4_arr, columns) + q0x * u0
-                if u2_arr is not None:
-                    op += q2x * series_dot(u2_arr, columns)
-                if u1_arr is not None:
-                    op += q1x * series_dot(u1_arr, columns)
+            for k, u in enumerate(arrays):
+                u0 = series_dot(u[0], columns)
+                op = series_dot(u[4], columns) + q0x * u0
+                if has_q2:
+                    op += q2x * series_dot(u[2], columns)
+                if has_q1:
+                    op += q1x * series_dot(u[1], columns)
                 op_sum += op
                 val_sum += u0
                 phi = op_sum - lam[k] * val_sum

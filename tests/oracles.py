@@ -16,7 +16,7 @@ import itertools
 
 from mpmath import mp, mpf
 
-from fdsl4.corrections import _differentiate
+from fdsl4.corrections import _differentiate, basis_values
 from fdsl4.spectral import MomentTable
 
 def naive_poly_eval(coeffs, x):
@@ -288,7 +288,8 @@ def closed_form_moments(n, X, T, ctx):
     t!/(t-k)! X^(t+1) / (2 pi n)^(k+1) (or (sqrt(2) pi n)^(k+1)) against exact
     quarter/eighth-period trigonometric values.  The terms alternate and grow
     with t, so this loses digits as T grows (at 300 digits: about 1e-207 at
-    n=1, X=5, T=105); use it as an oracle for small T only.
+    n=1, X=5, T=105); use it as an oracle for small T only.  The point
+    columns at X are taken from ``basis_values``, not checked here.
     """
     with ctx.workprec():
         X = mpf(X)
@@ -330,7 +331,7 @@ def closed_form_moments(n, X, T, ctx):
             eta.append(e)
             mu.append(u)
         return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
-                           eta=tuple(eta), mu=tuple(mu))
+                           eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
 
 
 # --- the Galerkin oracle's dense algebra in mpf, one fdot per entry ----------

@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, QuadratureRule, assemble,
                    base_pair, eval_solution, eval_term, moments, solve)
-from fdsl4.corrections import (_differentiate, basis_values, series_dot,
+from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values, series_dot,
                                solution_from_payload, solution_to_payload)
 
 from .oracles import horner_series
@@ -200,6 +200,20 @@ def test_payload_with_mismatched_term_rejected(x_solution):
     payload["terms"][2]["d"].append("1")
     with pytest.raises(ValueError, match="len"):
         solution_from_payload(payload)
+
+
+def test_derivative_arrays_are_repeated_differentiation(x_solution):
+    # entry k of the cached tuple is _differentiate applied k times, k = 0..4
+    for term in x_solution.terms[:4]:
+        with CTX.workprec():
+            w = mp.pi * term.n / term.X
+            orders = _derivative_arrays(term, mp.dps)
+            assert len(orders) == 5
+            for k in range(5):
+                arrays = (term.a, term.b, term.c, term.d)
+                for _ in range(k):
+                    arrays = _differentiate(arrays, w)
+                assert orders[k] == arrays
 
 
 def test_series_dot_rejects_short_column():

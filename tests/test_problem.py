@@ -176,6 +176,9 @@ def test_parse_problem_roundtrip():
     ("q0 = [0,1]\nX = -1\nq1 = [0]\nq2 = [0]", 2),
     ("X = 1\nq0 = [0, inf]\nq1 = [0]\nq2 = [0]", 2),
     ("X = 1\nq0 = [0,1]\nq1 = [0]\nq2 = [-inf, 0]", 4),
+    ("X = 5\nq0 = [0,1]\nq1 = [0]\nX = 1\nq2 = [0]", 4),
+    ("x = 5\nq0 = [0,1]\nX = 1\nq1 = [0]\nq2 = [0]", 3),
+    ("X = 1\nq0 = [0,1]\nq1 = [0]\nq2 = [0]\nq0 = [2]", 5),
 ])
 def test_parse_problem_errors_carry_line(text, line):
     with pytest.raises(ProblemFormatError) as err:

@@ -33,10 +33,18 @@ def test_exported_names_resolve():
 
 
 def test_moment_table_interface_pinned():
-    # bench/stagetrace.py reads the ``T`` argument of moments by name
+    # bench/stagetrace.py reads only the ``T`` argument of moments, by name;
+    # the field list pins the table's shape for the closure and the oracles
     assert tuple(inspect.signature(fdsl4.moments).parameters) == ("n", "X", "T", "ctx")
     assert tuple(f.name for f in dataclasses.fields(fdsl4.MomentTable)) == \
-        ("n", "X", "alpha", "beta", "eta", "mu")
+        ("n", "X", "alpha", "beta", "eta", "mu", "at_X")
+
+
+def test_derivative_cache_interface_pinned():
+    # bench/stagetrace.py reports corrections._derivative_arrays.cache_info()
+    from fdsl4 import corrections
+    assert callable(getattr(corrections._derivative_arrays, "cache_info", None)), \
+        "corrections._derivative_arrays lost its cache_info"
 
 
 def _params(fn):

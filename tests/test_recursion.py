@@ -133,6 +133,18 @@ def test_closure_rejects_short_table(benchmark1):
         closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top - 1, CTX), CTX)
 
 
+def test_closure_u_at_X_skips_sin_family(benchmark1):
+    # sin(pi n) = 0, so c0 from u(X) = 0 must not move when the sin
+    # coefficients above power 1 do; pairing them with the rounded sin column
+    # at X would (at benchmark 1 n=1 m=20 it made lambda 5x worse)
+    term = solve(benchmark1, 1, 2, CTX).terms[2]
+    table = moments(1, benchmark1.X, len(term.a) - 1, CTX)
+    with CTX.workprec():
+        moved = term.a[:2] + tuple(v + 10 ** 40 for v in term.a[2:])
+    c0 = closure_index0(benchmark1, 1, term.a, term.b, term.c, term.d, table, CTX)[2]
+    assert closure_index0(benchmark1, 1, moved, term.b, term.c, term.d, table, CTX)[2] == c0
+
+
 def test_hyperbolic_rows_keep_relative_accuracy():
     # f_sinh 300 orders above f_sinh[1] and f_cosh = 0: the c and d rows
     # give c[1] = -r11 d[2] = -3 d[2] / w to rounding, although |c[1]| is

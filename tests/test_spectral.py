@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
                    lambda_correction, matching_digits, moments, solve, spectral)
+from fdsl4.corrections import basis_values
 from fdsl4.rhs import build_rhs
 
 from .conftest import eval_series
@@ -96,6 +97,20 @@ def test_moments_precision_independent(n, half_x, T):
     gap = _column_gap(moments(n, X, T, lo), moments(n, X, T, hi), hi)
     with hi.workprec():
         assert gap < mpf(10) ** -110
+
+
+@pytest.mark.parametrize("n, X, T", [(1, "5", 20), (2, "1", 8), (7, "0.5", 0), (50, "2.5", 12)])
+def test_moments_carry_point_columns_at_X(n, X, T):
+    # the closure pairs each correction with these columns for u(X) = 0:
+    # basis_values at x = X, whose cos column is (-1)^n X^t exactly
+    table = moments(n, X, T, CTX)
+    with CTX.workprec():
+        X = mpf(X)
+        assert table.at_X == basis_values(n, X, X, T, CTX)
+        powers = [mpf(1)]
+        for _ in range(T):
+            powers.append(powers[-1] * X)
+        assert table.at_X[1] == tuple((-1) ** n * xp for xp in powers)
 
 
 def test_moments_validate_arguments():

@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
+from fdsl4.corrections import _derivative_arrays
 from fdsl4.numerics import matching_digits
 from fdsl4.verify import (_doubled, _fixed, _lu_factor, _lu_solve, build_galerkin,
                           default_panels)
@@ -103,6 +104,17 @@ def sized_specs(x_potential):
                                     ["-0.12", "0.27", "-0.38", "0.09", "-0.3"],
                                     ["0.25", "-0.41", "0.16", "0.33", "-0.07"], CTX),
     }
+
+
+def test_residual_sweep_caches_one_tuple_per_term(sized_specs):
+    # a term's derivative orders 0..4 share one cache entry, so a sweep over
+    # ranks 0..m at one precision adds exactly m + 1 entries, one per term
+    spec, m = sized_specs["benchmark1"], 6
+    sol = solve(spec, 1, m, CTX)
+    _derivative_arrays.cache_clear()
+    residual_sweep(sol, spec, CTX)
+    info = _derivative_arrays.cache_info()
+    assert (info.currsize, info.misses) == (m + 1, m + 1)
 
 
 def test_default_panels_follow_the_phase():
