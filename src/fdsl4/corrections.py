@@ -15,7 +15,9 @@ transformation, so derivatives up to the fourth order (needed for residual
 norms) never touch finite differences; a term's orders 0..4 are cached as
 one tuple.  Every linear functional of a series (a moment projection, a
 point value) is one exactly rounded dot product of its four arrays with the
-functional's four columns, :func:`series_dot`.
+functional's four columns, :func:`series_dot`, and every polynomial
+combination of series (a right-hand side, a residual) is one such dot
+product per coefficient, :func:`combine_series`.
 
 The base eigenpair of the hinged problem with zero potentials is
 sqrt(2/X) sin(n pi x / X) with eigenvalue (n pi / X)^4; it seeds the
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cosh_sinh
 
 from .numerics import GUARD_DIGITS, PrecisionContext
 from .problem import ProblemSpec
@@ -51,6 +54,15 @@ class CorrectionTerm:
             raise ValueError(
                 f"term arrays need len(a) == len(b) >= 1, len(c) == len(d) <= len(a); "
                 f"got {la}, {len(self.b)}, {lc}, {len(self.d)}")
+
+    def __hash__(self) -> int:
+        # computed on first use and stored: a frozen dataclass would hash
+        # every mpf of the arrays again at each cache lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.j, self.n, self.X, self.a, self.b, self.c, self.d))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
@@ -107,20 +119,44 @@ def series_dot(arrays, columns) -> mpf:
                    for p, v in enumerate(arr))
 
 
+def combine_series(sizes, summands) -> tuple:
+    """Arrays of the sum of coeff * x^shift * series over ``summands``.
+
+    ``summands`` holds (coeff, shift, arrays) triples, the arrays ordered
+    (sin, cos, sinh, cosh) like a term's; ``sizes`` gives the four result
+    lengths.  Each coefficient is one exactly rounded dot product of the
+    pairs that land on it, taken in summand order, at the caller's precision.
+    """
+    rows = tuple([[] for _ in range(size)] for size in sizes)
+    for coeff, shift, arrays in summands:
+        for family, arr in zip(rows, arrays):
+            for p, v in enumerate(arr):
+                family[p + shift].append((coeff, v))
+    return tuple(tuple(map(mp.fdot, family)) for family in rows)
+
+
+def _power_columns(x, top: int, values) -> tuple:
+    """Columns x^p * v, p = 0..top, for each value v, with x^p the running
+    product x * x * ...  Runs at the caller's precision."""
+    powers = [mpf(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * x)
+    return tuple(tuple(v * xp for xp in powers) for v in values)
+
+
 def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
     """Point-evaluation columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top.
 
     :func:`series_dot` of a series with these columns is its value at x.
-    Built once per point, they serve every term and derivative order.
+    Built once per point, they serve every term and derivative order.  sin
+    and cos come from one ``cos_sin`` call, sinh and cosh from one
+    ``mpf_cosh_sinh`` call, which is what ``mp.sinh`` and ``mp.cosh`` each run.
     """
     with ctx.workprec():
         wx = mp.pi * n / X * x
         cos_wx, sin_wx = mp.cos_sin(wx)
-        powers = [mpf(1)]
-        for _ in range(top):
-            powers.append(powers[-1] * x)
-        return tuple(tuple(v * xp for xp in powers)
-                     for v in (sin_wx, cos_wx, mp.sinh(wx), mp.cosh(wx)))
+        cosh_wx, sinh_wx = map(mp.make_mpf, mpf_cosh_sinh(wx._mpf_, *mp._prec_rounding))
+        return _power_columns(x, top, (sin_wx, cos_wx, sinh_wx, cosh_wx))
 
 
 def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:

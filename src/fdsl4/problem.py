@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -196,12 +197,15 @@ class ProblemSpec:
         return StepBudget(r=max(self.q0.degree, self.q1.degree, self.q2.degree))
 
 
+@lru_cache(maxsize=128)
 def omega(spec: ProblemSpec, ctx: PrecisionContext) -> mpf:
     """Potential-size constant feeding the convergence diagnostics.
 
     omega = max( sup|2*q2' - q1| , sup|q2'' - q1' + q0| ) over [0, X].
     With zero potentials this is zero, and it vanishes exactly when every
-    correction past the base eigenpair vanishes.
+    correction past the base eigenpair vanishes.  Cached per (spec, ctx),
+    both frozen: the critical points of a clustered potential can take
+    ``mp.polyroots`` most of a second.
     """
     with ctx.workprec():
         d1 = _poly_sub_scaled(poly_derivative(spec.q2, 1), spec.q1, mpf(2))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .corrections import CorrectionTerm, _differentiate
+from .corrections import CorrectionTerm, _differentiate, combine_series
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
 
@@ -60,13 +60,7 @@ def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
                     for t, qt in enumerate(q.coeffs) if qt]
         summands += [(lambdas[j + 1 - s], 0, (terms[s].a, terms[s].b, terms[s].c, terms[s].d))
                      for s in range(1, j + 1)]
-        # ordered like the term arrays: sin, cos, sinh, cosh
-        rows = tuple([[] for _ in range(size)] for size in (M1, M1, M0, M0))
-        for coeff, shift, arrays in summands:
-            for family, arr in zip(rows, arrays):
-                for p, v in enumerate(arr):
-                    family[p + shift].append((coeff, v))
-        return tuple(tuple(map(mp.fdot, family)) for family in rows)
+        return combine_series((M1, M1, M0, M0), summands)
 
 
 def add_base_term(rhs: tuple, lam, base: CorrectionTerm, ctx: PrecisionContext) -> tuple:

@@ -21,12 +21,15 @@ instruments:
   entries reduce to closed-form integrals of x^l sin/cos products, so the
   oracle shares no code path with the correction recursion.
 
-The sums are the solver's own primitive, one exactly rounded dot product
-(``mp.fdot``) each: point values pair a term, or one of its derivatives from
-the term's cached tuple of orders 0..4, with the columns of
-:func:`~fdsl4.corrections.basis_values` through
-:func:`~fdsl4.corrections.series_dot`, and a quadrature sum and a Galerkin
-entry are one ``fdot`` each.  The Gauss-Legendre nodes come from
+The residual of each rank is itself a series in the mixed basis, so its
+coefficients are formed once per sweep by algebra on the terms' cached
+derivative orders (:func:`_residual_series`).  At each node the point
+columns are built once, their sin, cos, sinh and cosh from per-panel
+rotations of values shared by every panel, and each rank's series is paired
+with them once through :func:`~fdsl4.corrections.series_dot`.  The sums are
+the solver's own primitive, one exactly rounded dot product (``mp.fdot``)
+each: a residual coefficient, a point value, a quadrature sum and a Galerkin
+entry.  The Gauss-Legendre nodes come from
 ``mp.gauss_quadrature``.  The oracle's dense algebra runs on Python integers:
 the shifted matrix is converted once to integers sharing one binary
 exponent, set by its largest entry with mp.prec + 64 bits below it.  Each L
@@ -48,10 +51,10 @@ from operator import mul
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_shift, round_nearest, to_int
 
-from .corrections import (FDSolution, _derivative_arrays, basis_values, lambda_partials,
-                          series_dot)
+from .corrections import (FDSolution, _derivative_arrays, _power_columns, combine_series,
+                          lambda_partials, series_dot)
 from .numerics import PrecisionContext
-from .problem import ProblemSpec, poly_eval
+from .problem import ProblemSpec
 
 log = logging.getLogger(__name__)
 
@@ -130,41 +133,82 @@ def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
 
 # --- residual norms -----------------------------------------------------------
 
-def _residual_integrals(sol: FDSolution, spec: ProblemSpec, panels: int,
-                        ctx: PrecisionContext):
+def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) -> list:
+    """Arrays (sin, cos, sinh, cosh) of the rank-k residual phi_k, k = 0..m.
+
+    With L u = u'''' + q2 u'' + q1 u' + q0 u and lam_k the rank-k eigenvalue,
+    phi_k = sum over s <= k of (L - lam_k) u^(s) is a series of the same kind
+    as a term, r powers longer in each part.  It is formed once, by algebra:
+
+        R_k = R_(k-1) + (L - lam_k) u^(k) - lambda^(k) S_(k-1),
+        S_k = S_(k-1) + u^(k),
+
+    each coefficient one exactly rounded dot product, so the running sums
+    are carried on coefficients rather than on point values.  A term's
+    derivative orders come from its cached tuple, one lookup per term.
+    """
+    with ctx.workprec():
+        r = spec.budget.r
+        lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
+        R = S = ((), (), (), ())
+        series = []
+        for k, term in enumerate(sol.terms):
+            u = _derivative_arrays(term, mp.dps)
+            summands = [(1, 0, R), (1, 0, u[4]), (-lam[k], 0, u[0])]
+            summands += [(qt, t, u[order])
+                         for q, order in ((spec.q2, 2), (spec.q1, 1), (spec.q0, 0))
+                         for t, qt in enumerate(q.coeffs) if qt]
+            if k:
+                summands.append((-sol.lambda_corrections[k - 1], 0, S))
+            la, lc = len(term.a), len(term.c)
+            R = combine_series((la + r, la + r, lc + r, lc + r), summands)
+            S = combine_series((la, la, lc, lc), ((1, 0, S), (1, 0, u[0])))
+            series.append(R)
+        return series
+
+
+def _node_columns(n: int, X, rule: QuadratureRule, top: int):
+    """Point columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top, at each node
+    of the rule in order, with the transcendentals from per-panel rotations.
+
+    Every panel has the same Gauss offsets theta_i = w (h/2) t_i from its
+    midpoint, so their cos_sin and e^(+-theta_i) are taken once per pass, and
+    cos_sin(w mid) and e^(+-w mid) once per panel.  At a node, sin and cos
+    follow from the addition formulas, E = e^(wx) is one product, and
+    sinh = (E - 1/E)/2, cosh = (E + 1/E)/2.  Runs at the caller's precision.
+    """
+    w = mp.pi * n / X
+    h = X / rule.panels
+    offsets = []
+    for t in _gauss_legendre_base(rule.nodes_per_panel, mp.dps)[0]:
+        theta = w * (h / 2 * t)
+        offsets.append(mp.cos_sin(theta) + (mp.exp(theta), mp.exp(-theta)))
+    nodes = iter(rule.nodes)
+    for p in range(rule.panels):
+        wm = w * ((p + mpf(1) / 2) * h)
+        cm, sm = mp.cos_sin(wm)
+        em, em_inv = mp.exp(wm), mp.exp(-wm)
+        for ct, st, et, et_inv in offsets:
+            E, E_inv = em * et, em_inv * et_inv
+            yield _power_columns(next(nodes), top,
+                                 (sm * ct + cm * st, cm * ct - sm * st,
+                                  (E - E_inv) / 2, (E + E_inv) / 2))
+
+
+def _residual_integrals(sol: FDSolution, series, panels: int, ctx: PrecisionContext):
     """Integral of the squared residual for every rank 0..m at one panel count.
 
-    Each term's tuple of derivative orders 0..4 is looked up once per pass,
-    and at each node the point-evaluation columns are built once and shared
-    by every term and order; the u' and u'' pairings are skipped where q1 or
-    q2 vanishes identically.  The residual of the rank-k truncation
-    is the sum over steps up to k of (u'''' + q2 u'' + q1 u' + q0 u) minus
-    the rank-k eigenvalue times the sum of u.
+    ``series`` holds the residual arrays of :func:`_residual_series`.  Each
+    node's columns are built once and paired once with each rank's series,
+    and each rank's quadrature sum is one dot product of the weights with
+    the squared values.
     """
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
-        lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
-        arrays = [_derivative_arrays(t, mp.dps) for t in sol.terms]
-        has_q1 = any(c != 0 for c in spec.q1.coeffs)
-        has_q2 = any(c != 0 for c in spec.q2.coeffs)
-        top = max(len(t.a) for t in sol.terms) - 1
-        acc = [mpf(0)] * (sol.m + 1)
-        for x, w in zip(rule.nodes, rule.weights):
-            columns = basis_values(sol.n, sol.X, x, top, ctx)
-            q0x, q1x, q2x = (poly_eval(q, x) for q in (spec.q0, spec.q1, spec.q2))
-            op_sum = val_sum = mpf(0)
-            for k, u in enumerate(arrays):
-                u0 = series_dot(u[0], columns)
-                op = series_dot(u[4], columns) + q0x * u0
-                if has_q2:
-                    op += q2x * series_dot(u[2], columns)
-                if has_q1:
-                    op += q1x * series_dot(u[1], columns)
-                op_sum += op
-                val_sum += u0
-                phi = op_sum - lam[k] * val_sum
-                acc[k] += w * phi * phi
-        return acc
+        top = len(series[-1][0]) - 1
+        values = [[series_dot(R, columns) for R in series]
+                  for columns in _node_columns(sol.n, sol.X, rule, top)]
+        return [mp.fdot(rule.weights, [v * v for v in rank]) for rank in zip(*values)]
 
 
 def default_panels(n: int) -> int:
@@ -187,7 +231,8 @@ def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
     Runs the panel-doubling convergence check on the squared norms; a rank
     that fails to settle is logged and the finer value kept.
     """
-    squares, _ = _doubled(lambda p: _residual_integrals(sol, spec, p, ctx),
+    series = _residual_series(sol, spec, ctx)
+    squares, _ = _doubled(lambda p: _residual_integrals(sol, series, p, ctx),
                           default_panels(sol.n), ctx,
                           f"residual (n={sol.n}, m={sol.m})")
     with ctx.workprec():

@@ -8,16 +8,21 @@ eigenvalue correction instead of the moment-table projection, the
 closed-form moment sums instead of the exponential-moment recurrences,
 sequential multiply-adds instead of one dot product per right-hand-side
 coefficient, Horner loops instead of one dot product per point value, the
-majorant-chain envelope of the eigenvalue corrections, and an mpf Crout LU
-with one ``fdot`` per entry instead of the Galerkin oracle's scaled integers.
+majorant-chain envelope of the eigenvalue corrections, an mpf Crout LU
+with one ``fdot`` per entry instead of the Galerkin oracle's scaled integers,
+and a residual integrand evaluated term by term at each node instead of one
+residual series per rank.
 """
 
 import itertools
 
 from mpmath import mp, mpf
 
-from fdsl4.corrections import _differentiate, basis_values
+from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values, lambda_partials,
+                               series_dot)
+from fdsl4.problem import poly_eval
 from fdsl4.spectral import MomentTable
+from fdsl4.verify import NODES_PER_PANEL, QuadratureRule
 
 def naive_poly_eval(coeffs, x):
     """Term-by-term power sum, no Horner."""
@@ -410,3 +415,33 @@ def fdot_nearest_eigenvalue(rows, shift, ctx, max_iter=60):
                 return ritz
             ritz_prev = ritz
         raise RuntimeError("reference inverse iteration did not settle")
+
+
+def pointwise_residual_integrals(sol, spec, panels, ctx):
+    """Integral of the squared residual for every rank 0..m, node by node.
+
+    The per-node integrand that :func:`fdsl4.verify.residual_sweep` replaced:
+    at each node every term and derivative order is paired with the columns
+    of ``basis_values``, q0, q1 and q2 are evaluated there, and the rank-k
+    residual is the running sum of (u'''' + q2 u'' + q1 u' + q0 u) minus the
+    rank-k eigenvalue times the running sum of u.  Each node's weighted
+    square is added with one rounding.
+    """
+    with ctx.workprec():
+        rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
+        lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
+        arrays = [_derivative_arrays(t, mp.dps) for t in sol.terms]
+        top = max(len(t.a) for t in sol.terms) - 1
+        acc = [mpf(0)] * (sol.m + 1)
+        for x, w in zip(rule.nodes, rule.weights):
+            columns = basis_values(sol.n, sol.X, x, top, ctx)
+            q0x, q1x, q2x = (poly_eval(q, x) for q in (spec.q0, spec.q1, spec.q2))
+            op_sum = val_sum = mpf(0)
+            for k, u in enumerate(arrays):
+                u0 = series_dot(u[0], columns)
+                op_sum += (series_dot(u[4], columns) + q0x * u0
+                           + q2x * series_dot(u[2], columns) + q1x * series_dot(u[1], columns))
+                val_sum += u0
+                phi = op_sum - lam[k] * val_sum
+                acc[k] += w * phi * phi
+        return acc

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mpf
 
-from fdsl4 import PrecisionContext, ProblemSpec, convergence_report
+from fdsl4 import PrecisionContext, ProblemSpec, convergence_report, problem
 from fdsl4.convergence import majorant
 
 CTX = PrecisionContext(digits=60)
@@ -27,6 +27,22 @@ def test_benchmark2_threshold(benchmark2):
     assert 4 * convergence_report(benchmark2, 1, CTX).M_n > 1
     for n in range(2, 30):
         assert 4 * convergence_report(benchmark2, n, CTX).M_n < 1
+
+
+def test_omega_computed_once_per_spec(monkeypatch):
+    # omega is cached per (spec, ctx): a second report on the same problem
+    # finds no critical points again
+    calls = []
+    roots = problem._critical_points
+    monkeypatch.setattr(problem, "_critical_points", lambda p: calls.append(p) or roots(p))
+    problem.omega.cache_clear()
+    spec = ProblemSpec.make(2, ["0.3", "-0.2", "0.5", "0.1"], [0, "0.04"], [0, "-0.01"], CTX)
+    first = convergence_report(spec, 3, CTX)
+    assert calls
+    seen = len(calls)
+    again = convergence_report(spec, 4, CTX)
+    assert len(calls) == seen
+    assert again.omega == first.omega
 
 
 def test_zero_omega_zero_constant():

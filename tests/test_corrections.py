@@ -243,6 +243,40 @@ def test_basis_values_trig_columns_exact(n, X, x):
         assert cos_col == tuple(mp.cos(wx) * xp for xp in powers)
 
 
+@pytest.mark.parametrize("n, X, x", [(1, "1", "0.3"), (7, "5", "4.99"), (40, "0.5", "0.123"),
+                                     (3, "2", "0"), (50, "1", "1")])
+def test_basis_values_hyperbolic_columns_exact(n, X, x):
+    # one mpf_cosh_sinh call gives mp.sinh(wx) x^p and mp.cosh(wx) x^p bit for bit
+    ctx = PrecisionContext(digits=300)
+    with ctx.workprec():
+        X, x = mpf(X), mpf(x)
+        wx = mp.pi * n / X * x
+        powers = [mpf(1)]
+        for _ in range(6):
+            powers.append(powers[-1] * x)
+        sinh_col, cosh_col = basis_values(n, X, x, 6, ctx)[2:]
+        assert sinh_col == tuple(mp.sinh(wx) * xp for xp in powers)
+        assert cosh_col == tuple(mp.cosh(wx) * xp for xp in powers)
+
+
+def test_equal_terms_hash_once_and_share_a_cache_entry(x_solution):
+    # the hash is stored on first use; equal terms built apart hash equal and
+    # hit one derivative-cache entry
+    term = x_solution.terms[3]
+    with CTX.workprec():
+        a, b, c, d = (tuple(map(mpf, arr)) for arr in (term.a, term.b, term.c, term.d))
+    twin = CorrectionTerm(j=term.j, n=term.n, X=term.X, a=a, b=b, c=c, d=d)
+    assert twin == term and twin.a[0] is not term.a[0]
+    assert hash(twin) == hash(term) == hash(term)
+    assert term.__dict__["_hash"] == hash(term)
+    _derivative_arrays.cache_clear()
+    with CTX.workprec():
+        first = _derivative_arrays(term, mp.dps)
+        assert _derivative_arrays(twin, mp.dps) is first
+    info = _derivative_arrays.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["0.5", "1", "2", "5"]),
        st.integers(min_value=1, max_value=30),

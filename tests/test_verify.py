@@ -8,12 +8,12 @@ from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
                    load_fixtures, residual_norm, residual_sweep, solve, verify)
-from fdsl4.corrections import _derivative_arrays
+from fdsl4.corrections import _derivative_arrays, basis_values
 from fdsl4.numerics import matching_digits
 from fdsl4.verify import (_doubled, _fixed, _lu_factor, _lu_solve, build_galerkin,
                           default_panels)
 
-from .oracles import fdot_nearest_eigenvalue
+from .oracles import fdot_nearest_eigenvalue, pointwise_residual_integrals
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -94,16 +94,20 @@ def test_residual_sweep_is_consistent(x_potential):
         assert abs(one - sweep[4]) <= abs(one) * mpf(10) ** -20
 
 
-@pytest.fixture(scope="module")
-def sized_specs(x_potential):
+def _sized_specs(ctx):
     return {
-        "benchmark2": x_potential,
+        "benchmark2": ProblemSpec.make(1, [0, 1], [0], [0], ctx),
         "benchmark1": ProblemSpec.make(5, ["-0.02", 0, 0, 0, "0.0001"], [0, "-0.04"],
-                                       [0, 0, "-0.02"], CTX),
+                                       [0, 0, "-0.02"], ctx),
         "degree4": ProblemSpec.make("0.5", ["0.31", "-0.22", "0.4", "-0.17", "0.45"],
                                     ["-0.12", "0.27", "-0.38", "0.09", "-0.3"],
-                                    ["0.25", "-0.41", "0.16", "0.33", "-0.07"], CTX),
+                                    ["0.25", "-0.41", "0.16", "0.33", "-0.07"], ctx),
     }
+
+
+@pytest.fixture(scope="module")
+def sized_specs():
+    return _sized_specs(CTX)
 
 
 def test_residual_sweep_caches_one_tuple_per_term(sized_specs):
@@ -142,11 +146,47 @@ def test_sized_rule_settles_on_first_doubling(sized_specs, name, n, m,
     panels = default_panels(n)
     assert passes == [panels, 2 * panels]
     assert not caplog.records
-    finer = integrals(sol, spec, 4 * panels, CTX)
+    finer = integrals(sol, verify._residual_series(sol, spec, CTX), 4 * panels, CTX)
     with CTX.workprec():
         for delta, square in zip(sweep, finer):
             want = mp.sqrt(abs(square))
             assert abs(delta - want) <= want * mpf("1e-15")
+
+
+@pytest.mark.parametrize("name, n, m", [("benchmark2", 1, 10), ("benchmark2", 50, 4),
+                                        ("benchmark1", 8, 6), ("degree4", 50, 3)])
+def test_residual_sweep_matches_pointwise_integrand(name, n, m, ctx300):
+    # one residual series per rank, paired once per node with rotated
+    # columns, against the term-by-term integrand at the returned panel count
+    spec = _sized_specs(ctx300)[name]
+    sol = solve(spec, n, m, ctx300)
+    sweep = residual_sweep(sol, spec, ctx300)
+    squares = pointwise_residual_integrals(sol, spec, 2 * default_panels(n), ctx300)
+    with ctx300.workprec():
+        for delta, square in zip(sweep, squares, strict=True):
+            want = mp.sqrt(abs(square))
+            assert abs(delta - want) <= want * mpf("1e-160")
+
+
+@pytest.mark.parametrize("n, X, panels", [(1, "1", 2), (1, "5", 20), (50, "1", 2),
+                                          (50, "1", 20), (50, "0.5", 20)])
+def test_rotated_node_columns_match_basis_values(n, X, panels):
+    # per-panel rotations give every node's columns to a few ulps of
+    # max(1, cosh wx) x^p, the size of the largest transcendental there,
+    # times 1 + wx: both paths round the argument wx, by different routes
+    top = 6
+    rule = QuadratureRule.build(X, panels, 20, CTX)
+    with CTX.workprec():
+        X = mpf(X)
+        w = mp.pi * n / X
+        got = list(verify._node_columns(n, X, rule, top))
+        assert len(got) == len(rule.nodes)
+        for x, columns in zip(rule.nodes, got):
+            want = basis_values(n, X, x, top, CTX)
+            scale = mpf(2) ** (8 - mp.prec) * (1 + w * x) * max(1, mp.cosh(w * x))
+            for col, ref in zip(columns, want, strict=True):
+                for p, (v, r) in enumerate(zip(col, ref, strict=True)):
+                    assert abs(v - r) <= scale * x ** p
 
 
 def test_fixture_tables_complete():
