@@ -5,7 +5,7 @@ series evaluated in arbitrary precision."""
 from .convergence import ConvergenceReport, convergence_report
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, eval_solution, eval_term
 from .numerics import PrecisionContext, matching_digits, stability_probe
-from .problem import Polynomial, ProblemSpec, StepBudget, load_problem, omega, parse_problem
+from .problem import ProblemSpec, load_problem, omega, parse_problem
 from .spectral import MomentTable, lambda_correction, moments, solve
 from .verify import (FixtureSet, QuadratureRule, galerkin_nearest_eigenvalue,
                      load_fixtures, residual_norm, residual_sweep)
@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceReport", "CorrectionTerm", "FDSolution", "FixtureSet",
-    "MomentTable", "Polynomial",
-    "PrecisionContext", "ProblemSpec", "QuadratureRule", "StepBudget",
+    "MomentTable", "PrecisionContext", "ProblemSpec", "QuadratureRule",
     "assemble", "base_pair", "convergence_report", "eval_solution",
     "eval_term", "galerkin_nearest_eigenvalue", "lambda_correction",
     "load_fixtures", "load_problem", "matching_digits", "moments",

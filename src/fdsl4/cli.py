@@ -220,6 +220,9 @@ def main(argv=None) -> int:
                "check": cmd_check, "oracle": cmd_oracle}[args.command]
     try:
         return handler(args, spec, ctx)
+    except OSError as exc:  # an unwritable --json or --out path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -198,6 +198,8 @@ def assemble(terms, lambda_values, m: int, ctx: PrecisionContext) -> FDSolution:
     """
     terms = tuple(terms)
     lambda_values = tuple(lambda_values)
+    if m < 0:
+        raise ValueError("rank must be >= 0")
     if len(terms) < m + 1 or len(lambda_values) < m + 1:
         raise ValueError(f"need {m + 1} terms and eigenvalue entries for rank {m}")
     return FDSolution(n=terms[0].n, m=m, X=terms[0].X,
@@ -258,6 +260,8 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
 
 
 def solution_from_payload(payload: dict) -> FDSolution:
+    if payload.get("format") != "fdsl4-solution":
+        raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
         X = mpf(payload["X"])

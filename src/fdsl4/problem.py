@@ -5,9 +5,10 @@ The eigenproblem solved by this package is
     u''''(x) + q2(x) u''(x) + q1(x) u'(x) + (q0(x) - lambda) u(x) = 0
 
 on (0, X) with hinged boundary conditions u = u'' = 0 at both ends, where
-q0, q1, q2 are real polynomials of degree at least one (constants are stored
-zero-padded to degree one so the step-size bookkeeping r = max degree stays
-uniform).
+q0, q1, q2 are real polynomials, each stored as a tuple of at least two mpf
+coefficients, lowest degree first (constants are zero-padded to degree one).
+The stored length fixes the tracked degree, trailing zeros included: the
+largest, r, sets the M(j) = j (r + 1) powers that step j contributes.
 
 A problem can be built in code or parsed from a small key-value config file::
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -44,59 +46,22 @@ class ProblemFormatError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense real polynomial; coeffs[k] multiplies x**k.
-
-    Trailing zeros are allowed and meaningful: the stored length fixes the
-    tracked degree, which feeds the step-size bookkeeping.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        if not all(mp.isfinite(c) for c in self.coeffs):
-            raise ValueError("polynomial coefficients must be finite")
-
-    @classmethod
-    def from_values(cls, values: Sequence, ctx: PrecisionContext) -> "Polynomial":
-        with ctx.workprec():
-            return cls(tuple(mpf(v) for v in values))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def poly_eval(p: Polynomial, x) -> mpf:
+def poly_eval(coeffs: Sequence, x) -> mpf:
     """Horner evaluation at the current working precision."""
     acc = mpf(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def poly_derivative(p: Polynomial, order: int = 1) -> Polynomial:
-    """Exact derivative of order 1 or 2 (coefficient shift and scale)."""
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    coeffs = p.coeffs
-    for _ in range(order):
-        coeffs = tuple(coeffs[k] * k for k in range(1, len(coeffs))) or (mpf(0),)
-    return Polynomial(coeffs)
+def _rational(c) -> Fraction:
+    """c exactly, at any working precision: a binary mpf is a ratio of integers."""
+    return Fraction(*to_rational(c._mpf_)) if isinstance(c, mpf) else Fraction(c)
 
 
-def _poly_sub_scaled(p: Polynomial, q: Polynomial, scale) -> Polynomial:
-    """scale*p - q, padded to the longer length."""
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = []
-    for k in range(n):
-        a = p.coeffs[k] if k < len(p.coeffs) else mpf(0)
-        b = q.coeffs[k] if k < len(q.coeffs) else mpf(0)
-        out.append(scale * a - b)
-    return Polynomial(tuple(out))
+def _derivative(p: list) -> list:
+    """Coefficients of p', exact for exact coefficients."""
+    return [k * c for k, c in enumerate(p)][1:]
 
 
 def _poly_divmod(a: list, b: list):
@@ -113,20 +78,19 @@ def _poly_divmod(a: list, b: list):
     return q, a
 
 
-def _critical_points(p: Polynomial) -> list:
+def _critical_points(p: list) -> list:
     """The distinct roots of p', each once, from ``mp.polyroots``.
 
-    p' is formed exactly (the coefficients are binary fractions), and its
-    square-free part p' / gcd(p', p'') by Euclid over the rationals, so a
-    repeated root cannot stall the Durand-Kerner iteration.  Complex roots
-    are returned too.
+    p holds exact rationals, so p' and its square-free part p' / gcd(p', p'')
+    (Euclid over the rationals) are exact, and a repeated root cannot stall
+    the Durand-Kerner iteration.  Complex roots are returned too.
     """
-    d = [k * Fraction(*to_rational(mpf(c)._mpf_)) for k, c in enumerate(p.coeffs)][1:]
+    d = _derivative(p)
     while d and not d[-1]:
         d.pop()
     if len(d) < 2:
         return []
-    g, r = d, [k * c for k, c in enumerate(d)][1:]
+    g, r = d, _derivative(d)
     while r:
         g, r = r, _poly_divmod(g, r)[1]
     squarefree = _poly_divmod(d, g)[0]
@@ -136,8 +100,9 @@ def _critical_points(p: Polynomial) -> list:
                         maxsteps=mp.prec, extraprec=mp.prec)
 
 
-def sup_norm(p: Polynomial, X, ctx: PrecisionContext) -> mpf:
-    """max of |p| over [0, X], to working precision.
+def sup_norm(p: Sequence, X, ctx: PrecisionContext) -> mpf:
+    """max of |p| over [0, X], to working precision; p's coefficients are
+    mpf values or exact rationals, lowest degree first.
 
     |p| is evaluated at 0, at X and at the real part of every critical point
     (root of p') whose real part lies in [0, X].  Taking the real part of
@@ -149,34 +114,30 @@ def sup_norm(p: Polynomial, X, ctx: PrecisionContext) -> mpf:
         X = mpf(X)
         if X <= 0:
             raise ValueError("interval length must be positive")
+        p = [_rational(c) for c in p]
+        values = [mp.fdiv(c.numerator, c.denominator) for c in p]
         points = [mpf(0), X] + [x for x in map(mp.re, _critical_points(p)) if 0 <= x <= X]
-        return max(abs(poly_eval(p, x)) for x in points)
-
-
-@dataclass(frozen=True)
-class StepBudget:
-    """Sizes of the coefficient arrays: step j contributes M(j) = j*(r+1) powers."""
-
-    r: int
-
-    def M(self, j: int) -> int:
-        return j * (self.r + 1)
+        return max(abs(poly_eval(values, x)) for x in points)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Interval length X and the three polynomial potentials."""
+    """Interval length X and the three potentials as tuples of mpf
+    coefficients, lowest degree first, each of length at least two."""
 
     X: mpf
-    q0: Polynomial
-    q1: Polynomial
-    q2: Polynomial
+    q0: tuple
+    q1: tuple
+    q2: tuple
 
     def __post_init__(self):
         if not 0 < self.X < mp.inf:
             raise ValueError("interval length X must be positive and finite")
         for name in ("q0", "q1", "q2"):
-            if getattr(self, name).degree < 1:
+            q = getattr(self, name)
+            if not all(mp.isfinite(c) for c in q):
+                raise ValueError(f"{name} coefficients must be finite")
+            if len(q) < 2:
                 raise ValueError(f"{name} must be stored with degree >= 1 "
                                  "(pad constants with an explicit zero)")
 
@@ -184,35 +145,38 @@ class ProblemSpec:
     def make(cls, X, q0: Sequence, q1: Sequence, q2: Sequence,
              ctx: PrecisionContext) -> "ProblemSpec":
         """Build a spec from raw coefficient lists, zero-padding to degree 1."""
-        def poly(values):
-            vals = list(values) if len(values) else [0]
-            while len(vals) < 2:
-                vals.append(0)
-            return Polynomial.from_values(vals, ctx)
+        def coeffs(values):
+            with ctx.workprec():
+                return tuple(mpf(v) for v in values) + (mpf(0),) * (2 - len(values))
 
-        return cls(X=ctx.mpf(X), q0=poly(q0), q1=poly(q1), q2=poly(q2))
+        return cls(X=ctx.mpf(X), q0=coeffs(q0), q1=coeffs(q1), q2=coeffs(q2))
 
     @property
-    def budget(self) -> StepBudget:
-        return StepBudget(r=max(self.q0.degree, self.q1.degree, self.q2.degree))
+    def r(self) -> int:
+        """The largest stored degree; trailing zeros count."""
+        return max(len(self.q0), len(self.q1), len(self.q2)) - 1
+
+    def M(self, j: int) -> int:
+        """Powers that step j contributes to the coefficient arrays."""
+        return j * (self.r + 1)
 
 
 @lru_cache(maxsize=128)
 def omega(spec: ProblemSpec, ctx: PrecisionContext) -> mpf:
     """Potential-size constant feeding the convergence diagnostics.
 
-    omega = max( sup|2*q2' - q1| , sup|q2'' - q1' + q0| ) over [0, X].
-    With zero potentials this is zero, and it vanishes exactly when every
-    correction past the base eigenpair vanishes.  Cached per (spec, ctx),
-    both frozen: the critical points of a clustered potential can take
-    ``mp.polyroots`` most of a second.
+    omega = max( sup|2*q2' - q1| , sup|q2'' - q1' + q0| ) over [0, X], with
+    both polynomials formed exactly from the binary coefficients.  With zero
+    potentials this is zero, and it vanishes exactly when every correction
+    past the base eigenpair vanishes.  Cached per (spec, ctx), both frozen:
+    the critical points of a clustered potential can take ``mp.polyroots``
+    most of a second.
     """
-    with ctx.workprec():
-        d1 = _poly_sub_scaled(poly_derivative(spec.q2, 1), spec.q1, mpf(2))
-        q2pp = poly_derivative(spec.q2, 2)
-        q1p = poly_derivative(spec.q1, 1)
-        d2 = _poly_sub_scaled(q2pp, _poly_sub_scaled(q1p, spec.q0, mpf(1)), mpf(1))
-        return max(sup_norm(d1, spec.X, ctx), sup_norm(d2, spec.X, ctx))
+    q0, q1, q2 = ([_rational(c) for c in q] for q in (spec.q0, spec.q1, spec.q2))
+    d1 = [2 * a - b for a, b in zip_longest(_derivative(q2), q1, fillvalue=0)]
+    d2 = [a - b + c for a, b, c in
+          zip_longest(_derivative(_derivative(q2)), _derivative(q1), q0, fillvalue=0)]
+    return max(sup_norm(d1, spec.X, ctx), sup_norm(d2, spec.X, ctx))
 
 
 def _finite(text: str, what: str, lineno: int, ctx: PrecisionContext) -> mpf:

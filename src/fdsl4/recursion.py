@@ -77,7 +77,7 @@ def solve_step(spec: ProblemSpec, n: int, j: int, rhs: tuple,
     powers M .. 1 and the closure gives power 0.  Returns (a, b, c, d) as
     tuples with trig length M(j+1)+1 and hyperbolic length M(j)+1.
     """
-    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    M1, M0 = spec.M(j + 1), spec.M(j)
     f_sin, f_cos, f_sinh, f_cosh = rhs
     fdot = mp.fdot
     with ctx.workprec():

@@ -46,7 +46,7 @@ def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
         raise MissingHistoryError(
             f"step {j + 1} needs terms and eigenvalue entries 0..{j}; "
             f"have {len(terms)} terms, {len(lambdas)} eigenvalues")
-    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    M1, M0 = spec.M(j + 1), spec.M(j)
     with ctx.workprec():
         w = mp.pi * n / spec.X
         u = terms[j]
@@ -57,7 +57,7 @@ def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
         # u, u', u'' at power k - t, and lambda^(j+1-s) against u^(s) at k
         summands = [(-qt, t, arrays)
                     for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2))
-                    for t, qt in enumerate(q.coeffs) if qt]
+                    for t, qt in enumerate(q) if qt]
         summands += [(lambdas[j + 1 - s], 0, (terms[s].a, terms[s].b, terms[s].c, terms[s].d))
                      for s in range(1, j + 1)]
         return combine_series((M1, M1, M0, M0), summands)

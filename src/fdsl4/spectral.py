@@ -136,7 +136,7 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     term0, lam0 = base_pair(spec, n, ctx)
     terms, lambdas = [term0], [lam0]
     # the highest power any step reads is M(m), in the last step's closure
-    table = moments(n, spec.X, spec.budget.M(m), ctx)
+    table = moments(n, spec.X, spec.M(m), ctx)
     for j in range(m):
         step_rhs = build_rhs(spec, n, j, terms, lambdas, ctx)
         lambdas.append(lambda_correction(step_rhs, table, ctx))

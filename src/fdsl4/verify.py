@@ -148,7 +148,7 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
     derivative orders come from its cached tuple, one lookup per term.
     """
     with ctx.workprec():
-        r = spec.budget.r
+        r = spec.r
         lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
         R = S = ((), (), (), ())
         series = []
@@ -157,7 +157,7 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
             summands = [(1, 0, R), (1, 0, u[4]), (-lam[k], 0, u[0])]
             summands += [(qt, t, u[order])
                          for q, order in ((spec.q2, 2), (spec.q1, 1), (spec.q0, 0))
-                         for t, qt in enumerate(q.coeffs) if qt]
+                         for t, qt in enumerate(q) if qt]
             if k:
                 summands.append((-sol.lambda_corrections[k - 1], 0, S))
             la, lc = len(term.a), len(term.c)
@@ -321,14 +321,14 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
     """
     with ctx.workprec():
         X = spec.X
-        I_s, I_c = _sine_cosine_integrals(X, spec.budget.r, 2 * N, ctx)
+        I_s, I_c = _sine_cosine_integrals(X, spec.r, 2 * N, ctx)
         rows = []
         for p in range(1, N + 1):
             wp = p * mp.pi / X
             # weights of 2 int x^l sin_p sin_q and 2 int x^l cos_p sin_q, 2/X folded in
             w_ss = [(c0 - wp ** 2 * c2) / X for c0, c2 in
-                    zip_longest(spec.q0.coeffs, spec.q2.coeffs, fillvalue=0)]
-            w_cs = [c1 * wp / X for c1 in spec.q1.coeffs]
+                    zip_longest(spec.q0, spec.q2, fillvalue=0)]
+            w_cs = [c1 * wp / X for c1 in spec.q1]
             row = []
             for q in range(1, N + 1):
                 d, sign = abs(p - q), (1 if p >= q else -1)

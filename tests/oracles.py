@@ -53,7 +53,7 @@ def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
     With ``absolute`` every summand enters by its absolute value, giving the
     size of the sum behind each coefficient.
     """
-    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    M1, M0 = spec.M(j + 1), spec.M(j)
     size = abs if absolute else (lambda v: v)
     with ctx.workprec():
         w = mp.pi * n / spec.X
@@ -66,7 +66,7 @@ def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
 
         # -q0*u - q1*u' - q2*u'': power t of q times power p of the arrays
         for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2)):
-            for t, qt in enumerate(q.coeffs):
+            for t, qt in enumerate(q):
                 if not qt:
                     continue
                 for out, arr in zip(f, arrays):
@@ -94,7 +94,7 @@ _ZERO = ((mpf(0), mpf(0)), (mpf(0), mpf(0)))
 
 
 def _family_budget(spec, family, j):
-    return spec.budget.M(j + 1) if family == "trig" else spec.budget.M(j)
+    return spec.M(j + 1) if family == "trig" else spec.M(j)
 
 
 def _at(arr, i):

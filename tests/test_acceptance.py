@@ -172,7 +172,7 @@ def test_criterion_4_closed_forms(benchmark1, benchmark2, b1_solutions_m20,
 def _property_defects(spec, n, m, ctx):
     """Max defect of each structural property for one solve."""
     sol = solve(spec, n, m, ctx)
-    table = moments(n, spec.X, spec.budget.M(m), ctx)
+    table = moments(n, spec.X, spec.M(m), ctx)
     rng = random.Random(1000 * n + m)
     with ctx.workprec():
         bc = mpf(0)

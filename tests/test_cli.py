@@ -56,6 +56,18 @@ def test_solve_json_export(capsys, tmp_path):
     assert sol.n == 3 and sol.m == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--m", "1", "--json"),
+    ("sweep", "--m-max", "1", "--out"),
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    *head, flag = argv
+    code, _, err = run(capsys, *head, "--problem", B2, "--digits", "40",
+                       flag, str(tmp_path / "missing" / "out"))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_solve_multiple_indices_ordered(capsys):
     code, out, _ = run(capsys, "solve", "--problem", B2, "--n", "2,1",
                        "--m", "2", "--digits", "60")

@@ -92,7 +92,7 @@ def test_boundary_conditions_of_computed_terms(x_solution):
 
 
 def test_orthogonality_of_computed_terms(x_potential, x_solution):
-    table = moments(1, x_potential.X, x_potential.budget.M(6), CTX)
+    table = moments(1, x_potential.X, x_potential.M(6), CTX)
     base = x_solution.terms[0]
     with CTX.workprec():
         amp = base.a[0]
@@ -154,6 +154,9 @@ def test_assemble_rank1_is_base_plus_half(x_solution):
 def test_assemble_requires_enough_entries(x_solution):
     with pytest.raises(ValueError):
         assemble(x_solution.terms[:2], (x_solution.lambda0,), 3, CTX)
+    lambdas = (x_solution.lambda0,) + x_solution.lambda_corrections
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        assemble(x_solution.terms, lambdas, -1, CTX)
 
 
 def test_eval_solution_sums_terms(x_solution):
@@ -199,6 +202,13 @@ def test_payload_with_mismatched_term_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["terms"][2]["d"].append("1")
     with pytest.raises(ValueError, match="len"):
+        solution_from_payload(payload)
+
+
+def test_payload_with_other_format_rejected(x_solution):
+    payload = solution_to_payload(x_solution, CTX)
+    payload["format"] = "something-else"
+    with pytest.raises(ValueError, match="something-else"):
         solution_from_payload(payload)
 
 

@@ -27,7 +27,7 @@ def x_potential():
 
 def _first_step_rhs(spec, n):
     term0, lam0 = base_pair(spec, n, CTX)
-    table = moments(n, spec.X, spec.budget.M(1), CTX)
+    table = moments(n, spec.X, spec.M(1), CTX)
     rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
     return add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX), table
 
@@ -51,7 +51,7 @@ def test_x_potential_top_coeffs(x_potential):
 
 def test_zero_rhs_gives_zero_rows(x_potential):
     zero = ((mpf(0),) * 2, (mpf(0),) * 2, (), ())
-    table = moments(1, x_potential.X, x_potential.budget.M(1), CTX)
+    table = moments(1, x_potential.X, x_potential.M(1), CTX)
     arrays = solve_step(x_potential, 1, 0, zero, table, CTX)
     assert all(v == 0 for arr in arrays for v in arr[1:])
 
@@ -127,7 +127,7 @@ def test_closure_rejects_short_table(benchmark1):
     term = sol.terms[2]
     arrays = (term.a, term.b, term.c, term.d)
     top = len(term.a) - 1
-    assert top == benchmark1.budget.M(2) and len(term.c) > 1
+    assert top == benchmark1.M(2) and len(term.c) > 1
     closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top, CTX), CTX)
     with pytest.raises(IndexError):
         closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top - 1, CTX), CTX)
@@ -151,9 +151,9 @@ def test_hyperbolic_rows_keep_relative_accuracy():
     # 1e-309 of |d[0]|
     spec = ProblemSpec.make("0.5", [0, 1], [0], [0], CTX)
     n, j = 1, 1
-    table = moments(n, spec.X, spec.budget.M(j + 1), CTX)
+    table = moments(n, spec.X, spec.M(j + 1), CTX)
     with CTX.workprec():
-        trig = (mpf(0),) * spec.budget.M(j + 1)
+        trig = (mpf(0),) * spec.M(j + 1)
         rhs = (trig, trig, (mpf(1), mpf("2.2e-309")), (mpf(0),) * 2)
     _, _, c, d = solve_step(spec, n, j, rhs, table, CTX)
     with CTX.workprec():
@@ -247,7 +247,7 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
     # [-1, 1]: adding lambda u0 may cancel f_sin[0] almost entirely, and u''(X)
     # then carries that rounding, relative to the entries before the cancellation
     spec = ProblemSpec.make(X, [0] * r + [1], [0], [0], CTX)
-    M1, M0 = spec.budget.M(j + 1), spec.budget.M(j)
+    M1, M0 = spec.M(j + 1), spec.M(j)
     table = moments(n, spec.X, M1, CTX)
     term0, _ = base_pair(spec, n, CTX)
     with CTX.workprec():

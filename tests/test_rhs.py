@@ -22,7 +22,7 @@ CTX = PrecisionContext(digits=120)
 def _step0(spec, n):
     """F of step 1 without lambda^(1) u^(0), lambda^(1), the base term and the table."""
     term0, lam0 = base_pair(spec, n, CTX)
-    table = moments(n, spec.X, spec.budget.M(1), CTX)
+    table = moments(n, spec.X, spec.M(1), CTX)
     rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
     return rhs, lambda_correction(rhs, table, CTX), term0, table
 
@@ -117,7 +117,7 @@ def test_solvability_inner_product(benchmark1):
     spec = benchmark1
     n, m = 3, 3
     sol = solve(spec, n, m, CTX)
-    table = moments(n, spec.X, spec.budget.M(m), CTX)
+    table = moments(n, spec.X, spec.M(m), CTX)
     lambdas = (sol.lambda0,) + sol.lambda_corrections
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 20)
@@ -187,11 +187,11 @@ def test_dot_products_match_sequential_random(X, n, j, rng):
                        for _ in range(rng.randint(1, 4))] for _ in range(3))
     spec = ProblemSpec.make(X, q0, q1, q2, CTX)
     term0, lam0 = base_pair(spec, n, CTX)
-    terms, budget = [term0], spec.budget
+    terms = [term0]
     with CTX.workprec():
         for s in range(1, j + 1):
-            a, b = (_random_entries(rng, budget.M(s) + 1) for _ in range(2))
-            c, d = (_random_entries(rng, budget.M(s - 1) + 1) for _ in range(2))
+            a, b = (_random_entries(rng, spec.M(s) + 1) for _ in range(2))
+            c, d = (_random_entries(rng, spec.M(s - 1) + 1) for _ in range(2))
             terms.append(CorrectionTerm(j=s, n=n, X=spec.X, a=a, b=b, c=c, d=d))
         lambdas = (lam0,) + _random_entries(rng, j)
     _assert_matches_sequential(spec, n, j, terms, lambdas, CTX)

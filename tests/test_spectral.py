@@ -207,7 +207,7 @@ def test_solve_sizes_table_to_top_power(benchmark1, x_potential, monkeypatch):
     for spec, m in ((benchmark1, 3), (x_potential, 5)):
         seen.clear()
         solve(spec, 1, m, CTX)
-        assert seen == [spec.budget.M(m)]
+        assert seen == [spec.M(m)]
     short[0] = 1
     with pytest.raises(IndexError):
         solve(benchmark1, 1, 3, CTX)
@@ -245,7 +245,7 @@ def test_lambda_correction_rejects_short_table(benchmark1):
     lambdas = (sol.lambda0,) + sol.lambda_corrections
     rhs = build_rhs(benchmark1, 1, 1, sol.terms, lambdas, CTX)
     top = len(rhs[0]) - 1
-    assert top == benchmark1.budget.M(2) - 1
+    assert top == benchmark1.M(2) - 1
     lambda_correction(rhs, moments(1, benchmark1.X, top, CTX), CTX)
     with pytest.raises(IndexError):
         lambda_correction(rhs, moments(1, benchmark1.X, top - 1, CTX), CTX)

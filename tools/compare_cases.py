@@ -1,0 +1,134 @@
+"""Record the solver's numbers on 31 fixed cases, or compare two records.
+
+The cases: benchmark 1 with n = 1..8 at rank 20, benchmark 2 with
+n in {1, 2, 50} at rank 10, and the 20 seeded random problems of
+``tests/conftest.make_random_problems`` with n = 1 at rank 4, all at 300
+digits.  For each case the record holds the rank-m eigenvalue, every
+correction lambda^(j), a sha256 of each term's four coefficient arrays and
+omega.  It also holds the residual sweeps of benchmark 2 at (n, m) = (1, 10)
+and (50, 4).  Every real is written exactly, as ``mantissa*2^exponent``.
+
+The library and the random problems come from the checkout that holds this
+script, so a record of another revision is made by running a copy of the
+script inside that revision's checkout::
+
+    python tools/compare_cases.py --out new.json
+    python tools/compare_cases.py --out new.json --against old.json
+
+With ``--against`` it prints, per quantity, how many entries are
+bit-identical and the worst relative difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import fdsl4  # noqa: E402
+from mpmath import mp  # noqa: E402
+from tests.conftest import make_random_problems  # noqa: E402
+
+DIGITS = 300
+SWEEPS = ((1, 10), (50, 4))
+
+
+def exact(value) -> str:
+    man, exp = value.man_exp
+    return f"{man}*2^{exp}"
+
+
+def digest(term) -> str:
+    h = hashlib.sha256()
+    for arr in (term.a, term.b, term.c, term.d):
+        h.update((",".join(exact(v) for v in arr) + ";").encode())
+    return h.hexdigest()
+
+
+def cases(ctx):
+    """(name, spec, n, m) for every case, in a fixed order."""
+    b1 = fdsl4.load_problem(ROOT / "problems" / "benchmark1.cfg", ctx)
+    b2 = fdsl4.load_problem(ROOT / "problems" / "benchmark2.cfg", ctx)
+    out = [(f"b1 n={n} m=20", b1, n, 20) for n in range(1, 9)]
+    out += [(f"b2 n={n} m=10", b2, n, 10) for n in (1, 2, 50)]
+    out += [(f"random {i} n=1 m=4", spec, 1, 4)
+            for i, spec in enumerate(make_random_problems(20, ctx))]
+    return out, b2
+
+
+def record(ctx) -> dict:
+    rows, b2 = cases(ctx)
+    result = {"cases": {}, "sweeps": {}}
+    for name, spec, n, m in rows:
+        sol = fdsl4.solve(spec, n, m, ctx)
+        result["cases"][name] = {
+            "lambda": exact(sol.lambda_approx),
+            "lambda_j": [exact(v) for v in sol.lambda_corrections],
+            "terms": [digest(t) for t in sol.terms],
+            "omega": exact(fdsl4.omega(spec, ctx)),
+        }
+        print(name, file=sys.stderr)
+    for n, m in SWEEPS:
+        sol = fdsl4.solve(b2, n, m, ctx)
+        result["sweeps"][f"b2 n={n} m={m}"] = [exact(v) for v in fdsl4.residual_sweep(sol, b2, ctx)]
+        print(f"sweep n={n} m={m}", file=sys.stderr)
+    return result
+
+
+def value(text: str) -> Fraction:
+    man, exp = text.split("*2^")
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def rel_diff(a: str, b: str) -> Fraction:
+    x, y = value(a), value(b)
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else Fraction(0)
+
+
+def pairs(new: dict, old: dict):
+    """(quantity, new entry, old entry) over both records, in case order."""
+    for name, case in new["cases"].items():
+        ref = old["cases"][name]
+        yield "lambda", case["lambda"], ref["lambda"]
+        yield "omega", case["omega"], ref["omega"]
+        for quantity in ("lambda_j", "terms"):
+            if len(case[quantity]) != len(ref[quantity]):
+                raise ValueError(f"{name}: {quantity} lengths differ")
+            for a, b in zip(case[quantity], ref[quantity]):
+                yield quantity, a, b
+    for name, sweep in new["sweeps"].items():
+        for a, b in zip(sweep, old["sweeps"][name], strict=True):
+            yield "residuals", a, b
+
+
+def compare(new: dict, old: dict) -> None:
+    stats = {}
+    for quantity, a, b in pairs(new, old):
+        same, total, worst = stats.get(quantity, (0, 0, Fraction(0)))
+        diff = Fraction(0) if quantity == "terms" or a == b else rel_diff(a, b)
+        stats[quantity] = (same + (a == b), total + 1, max(worst, diff))
+    for quantity, (same, total, worst) in stats.items():
+        print(f"{quantity:10} {same:5}/{total:<5} bit-identical, "
+              f"worst relative difference {mp.nstr(mp.fdiv(worst.numerator, worst.denominator), 3)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON record to write")
+    parser.add_argument("--against", help="JSON record of another revision to compare with")
+    args = parser.parse_args(argv)
+    result = record(fdsl4.PrecisionContext(digits=DIGITS))
+    Path(args.out).write_text(json.dumps(result, indent=1), encoding="utf-8")
+    if args.against:
+        compare(result, json.loads(Path(args.against).read_text(encoding="utf-8")))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
