@@ -2,16 +2,16 @@
 
 Two views of the same phenomenon for the q0 = x benchmark:
 
-* the L2 residual norm delta_n(m) of the rank-m approximation, computed by
-  independent quadrature, falls geometrically in m -- and faster for larger
-  eigenvalue indices;
+* the L2 residual norm delta_n(m) of the rank-m approximation, the exact
+  integral of the operator applied to the approximation by algebra, falls
+  geometrically in m -- and faster for larger eigenvalue indices;
 
 * the a-priori diagnostics: the contraction ratio r_n of the correction
   series shrinks like 1/n, so the sufficient convergence condition holds for
   every index here except n = 1 (where the method still converges, as the
   residuals show -- the certificate is simply not applicable).
 
-Run time: around a minute (the quadrature is the expensive part).
+Run time: under a second (0.4 s on one core of a 2-core x86-64 VM).
 """
 
 from mpmath import mp

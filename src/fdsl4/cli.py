@@ -11,7 +11,8 @@ Subcommands:
 
 All subcommands read the same problem config (see ``fdsl4.problem``).
 Diagnostics go to stderr; exit status is 0 on success, 2 on config/usage
-errors, 1 on computation failures.
+errors (an output path whose directory is missing is one, found before any
+computation), 1 on computation failures.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from mpmath import mp
@@ -215,6 +217,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    output = getattr(args, "json", None) or getattr(args, "out", None)
+    if output and not os.path.isdir(folder := os.path.dirname(os.path.abspath(output))):
+        print(f"error: {output}: no such directory {folder}", file=sys.stderr)
         return 2
     handler = {"solve": cmd_solve, "sweep": cmd_sweep,
                "check": cmd_check, "oracle": cmd_oracle}[args.command]

@@ -135,15 +135,6 @@ def combine_series(sizes, summands) -> tuple:
     return tuple(tuple(map(mp.fdot, family)) for family in rows)
 
 
-def _power_columns(x, top: int, values) -> tuple:
-    """Columns x^p * v, p = 0..top, for each value v, with x^p the running
-    product x * x * ...  Runs at the caller's precision."""
-    powers = [mpf(1)]
-    for _ in range(top):
-        powers.append(powers[-1] * x)
-    return tuple(tuple(v * xp for xp in powers) for v in values)
-
-
 def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
     """Point-evaluation columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top.
 
@@ -156,7 +147,11 @@ def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
         wx = mp.pi * n / X * x
         cos_wx, sin_wx = mp.cos_sin(wx)
         cosh_wx, sinh_wx = map(mp.make_mpf, mpf_cosh_sinh(wx._mpf_, *mp._prec_rounding))
-        return _power_columns(x, top, (sin_wx, cos_wx, sinh_wx, cosh_wx))
+        powers = [mpf(1)]
+        for _ in range(top):
+            powers.append(powers[-1] * x)
+        return tuple(tuple(v * xp for xp in powers)
+                     for v in (sin_wx, cos_wx, sinh_wx, cosh_wx))
 
 
 def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:

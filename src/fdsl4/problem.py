@@ -123,7 +123,8 @@ def sup_norm(p: Sequence, X, ctx: PrecisionContext) -> mpf:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Interval length X and the three potentials as tuples of mpf
-    coefficients, lowest degree first, each of length at least two."""
+    coefficients, lowest degree first, each of length at least two; any
+    other sequence is stored as a tuple."""
 
     X: mpf
     q0: tuple
@@ -134,7 +135,8 @@ class ProblemSpec:
         if not 0 < self.X < mp.inf:
             raise ValueError("interval length X must be positive and finite")
         for name in ("q0", "q1", "q2"):
-            q = getattr(self, name)
+            q = tuple(getattr(self, name))
+            object.__setattr__(self, name, q)   # a list would not hash for omega's cache
             if not all(mp.isfinite(c) for c in q):
                 raise ValueError(f"{name} coefficients must be finite")
             if len(q) < 2:

@@ -4,13 +4,16 @@ Nothing here reuses the recursion that produced a solution.  Three separate
 instruments:
 
 * an L2 residual norm delta_n(m) = || u'''' + q2 u'' + q1 u' + (q0-lam) u ||
-  computed by composite Gauss-Legendre quadrature with a panel-doubling
-  convergence check -- a computable certificate that the assembled
-  approximation nearly solves the differential equation.  The panel count
-  follows the phase of the integrand, not its polynomial degree: the squared
-  residual turns through 2*pi*n over [0, X] (its hyperbolic part grows by the
-  same exponent), and splitting [0, X] into more panels never lowers a
-  polynomial's degree (see :func:`default_panels`);
+  -- a computable certificate that the assembled approximation nearly
+  solves the differential equation.  The residual of each rank is itself a
+  series in the mixed basis, formed by applying the operator to the terms'
+  coefficients by algebra (:func:`_residual_series`), and its square is
+  integrated exactly: a finite sum of x^t e^(z x) over five exponents z,
+  whose moments come from the same kernel as the solve's moment table
+  (:func:`fdsl4.spectral._exp_moments`).  A running error bound certifies
+  at least CERTIFIED_DIGITS digits of each integral, and the tests check
+  the integrals against composite Gauss-Legendre quadrature
+  (:class:`QuadratureRule`, nodes from ``mp.gauss_quadrature``);
 
 * reference values for the two benchmark problems (exact eigenvalues of the
   first benchmark from its Kummer-function characteristic equation, rank-10
@@ -21,21 +24,15 @@ instruments:
   entries reduce to closed-form integrals of x^l sin/cos products, so the
   oracle shares no code path with the correction recursion.
 
-The residual of each rank is itself a series in the mixed basis, so its
-coefficients are formed once per sweep by algebra on the terms' cached
-derivative orders (:func:`_residual_series`).  At each node the point
-columns are built once, their sin, cos, sinh and cosh from per-panel
-rotations of values shared by every panel, and each rank's series is paired
-with them once through :func:`~fdsl4.corrections.series_dot`.  The sums are
-the solver's own primitive, one exactly rounded dot product (``mp.fdot``)
-each: a residual coefficient, a point value, a quadrature sum and a Galerkin
-entry.  The Gauss-Legendre nodes come from
-``mp.gauss_quadrature``.  The oracle's dense algebra runs on Python integers:
-the shifted matrix is converted once to integers sharing one binary
-exponent, set by its largest entry with mp.prec + 64 bits below it.  Each L
-or U entry of the left-looking LU and each row of the triangular solves is
-an exact integer dot product rounded once, and the Rayleigh sums are exact,
-with one rounding at the division.
+Every float sum is the solver's own primitive, one exactly rounded dot
+product (``mp.fdot``): a residual coefficient, a residual integral and a
+Galerkin entry.  Exact sums of products run on Python integers scaled to a
+binary exponent set by the largest entry, with mp.prec + GUARD_BITS bits
+below it: the residual's polynomial products, each family at its own
+exponent, and the oracle's dense algebra, where the shifted matrix shares
+one.  Each L or U entry of the left-looking LU and each row of the
+triangular solves is an exact integer dot product rounded once, and the
+Rayleigh sums are exact, with one rounding at the division.
 """
 
 from __future__ import annotations
@@ -45,22 +42,21 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from operator import mul
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpf_shift, round_nearest, to_int
 
-from .corrections import (FDSolution, _derivative_arrays, _power_columns, combine_series,
-                          lambda_partials, series_dot)
+from .corrections import FDSolution, _derivative_arrays, combine_series, lambda_partials
 from .numerics import PrecisionContext
 from .problem import ProblemSpec
+from .spectral import _exp_moments
 
 log = logging.getLogger(__name__)
 
-NODES_PER_PANEL = 20
-DOUBLING_RELTOL = "1e-10"
-MAX_DOUBLINGS = 3
+CERTIFIED_DIGITS = 30   # significant digits each residual integral must certify
+GUARD_BITS = 64         # bits kept below the largest entry beyond mp.prec
 
 
 class OracleConvergenceError(RuntimeError):
@@ -108,30 +104,12 @@ class QuadratureRule:
             return mp.fdot(self.weights, map(f, self.nodes))
 
 
-def _doubled(integrals, panels: int, ctx: PrecisionContext, what: str):
-    """(values, converged) for a list of integrals, doubling P -> 2P panels
-    until every value agrees with the previous pass to DOUBLING_RELTOL.
-
-    ``integrals(panels)`` returns the list at one panel count.  After
-    MAX_DOUBLINGS unsettled doublings a warning names ``what`` and the finest
-    values are kept.
-    """
-    with ctx.workprec():
-        reltol = mpf(DOUBLING_RELTOL)
-        prev = integrals(panels)
-        for _ in range(MAX_DOUBLINGS):
-            panels *= 2
-            cur = integrals(panels)
-            if all(max(abs(c), abs(p)) == 0 or abs(c - p) <= reltol * max(abs(c), abs(p))
-                   for c, p in zip(cur, prev)):
-                return cur, True
-            prev = cur
-        log.warning("%s quadrature did not settle after %d doublings",
-                    what, MAX_DOUBLINGS)
-        return cur, False
-
-
 # --- residual norms -----------------------------------------------------------
+
+def _fixed(value, e: int) -> int:
+    """The integer nearest value / 2^e (exact shift, one rounding)."""
+    return to_int(mpf_shift(value._mpf_, -e), round_nearest)
+
 
 def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) -> list:
     """Arrays (sin, cos, sinh, cosh) of the rank-k residual phi_k, k = 0..m.
@@ -167,76 +145,163 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
         return series
 
 
-def _node_columns(n: int, X, rule: QuadratureRule, top: int):
-    """Point columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top, at each node
-    of the rule in order, with the transcendentals from per-panel rotations.
+# Every product of two families of a residual, (a, b, G, H) = (0, 1, 2, 3),
+# with the moment columns it pairs with, each as (power of two, sign, name):
+#   phi^2 = (a^2 + b^2)/2 + (b^2 - a^2)/2 cos 2th + ab sin 2th
+#           + 2 (aG sin th + bG cos th) e^th + 2 (aH sin th + bH cos th) e^-th
+#           + G^2 e^2th + 2 GH + H^2 e^-2th,     th = pi n s.
+_PRODUCTS = (
+    (0, 0, ((-1, 1, "one"), (-1, -1, "cos2"))),
+    (1, 1, ((-1, 1, "one"), (-1, 1, "cos2"))),
+    (0, 1, ((0, 1, "sin2"),)),
+    (0, 2, ((1, 1, "sin_up"),)),
+    (1, 2, ((1, 1, "cos_up"),)),
+    (0, 3, ((1, 1, "sin_down"),)),
+    (1, 3, ((1, 1, "cos_down"),)),
+    (2, 2, ((0, 1, "up2"),)),
+    (2, 3, ((1, 1, "one"),)),
+    (3, 3, ((0, 1, "down2"),)),
+)
 
-    Every panel has the same Gauss offsets theta_i = w (h/2) t_i from its
-    midpoint, so their cos_sin and e^(+-theta_i) are taken once per pass, and
-    cos_sin(w mid) and e^(+-w mid) once per panel.  At a node, sin and cos
-    follow from the addition formulas, E = e^(wx) is one product, and
-    sinh = (E - 1/E)/2, cosh = (E + 1/E)/2.  Runs at the caller's precision.
+
+def _square_moments(n: int, T: int) -> dict:
+    """Name -> (column, size) for t = 0..T: the integrals over [0, 1] of s^t
+    times each function of _PRODUCTS, 1/(t+1) or a real or imaginary part of
+    K_t(Z) at Z = 2 pi n i, (+-1 + i) pi n or +-2 pi n from the solve's
+    moment kernel :func:`~fdsl4.spectral._exp_moments`.  No entry exceeds
+    size / (t+1), size = max(1, e^(Re Z)).  Runs at the caller's precision.
     """
-    w = mp.pi * n / X
-    h = X / rule.panels
-    offsets = []
-    for t in _gauss_legendre_base(rule.nodes_per_panel, mp.dps)[0]:
-        theta = w * (h / 2 * t)
-        offsets.append(mp.cos_sin(theta) + (mp.exp(theta), mp.exp(-theta)))
-    nodes = iter(rule.nodes)
-    for p in range(rule.panels):
-        wm = w * ((p + mpf(1) / 2) * h)
-        cm, sm = mp.cos_sin(wm)
-        em, em_inv = mp.exp(wm), mp.exp(-wm)
-        for ct, st, et, et_inv in offsets:
-            E, E_inv = em * et, em_inv * et_inv
-            yield _power_columns(next(nodes), top,
-                                 (sm * ct + cm * st, cm * ct - sm * st,
-                                  (E - E_inv) / 2, (E + E_inv) / 2))
+    pn = mp.pi * n
+    e_pn = mp.exp(pn)
+    sign = (-1) ** n                                   # e^(i pi n)
+    trig = _exp_moments(mpc(0, 2 * pn), mpf(1), T)
+    grow = _exp_moments(mpc(pn, pn), sign * e_pn, T)
+    decay = _exp_moments(mpc(-pn, pn), sign / e_pn, T)
+    up2 = _exp_moments(2 * pn, e_pn ** 2, T)
+    down2 = _exp_moments(-2 * pn, 1 / e_pn ** 2, T)
+    return {
+        "one": ([mpf(1) / (t + 1) for t in range(T + 1)], 1),
+        "cos2": ([K.real for K in trig], 1), "sin2": ([K.imag for K in trig], 1),
+        "cos_up": ([K.real for K in grow], e_pn), "sin_up": ([K.imag for K in grow], e_pn),
+        "cos_down": ([K.real for K in decay], 1), "sin_down": ([K.imag for K in decay], 1),
+        "up2": ([K.real for K in up2], e_pn ** 2), "down2": ([K.real for K in down2], 1),
+    }
 
 
-def _residual_integrals(sol: FDSolution, series, panels: int, ctx: PrecisionContext):
-    """Integral of the squared residual for every rank 0..m at one panel count.
+def _unit_integers(family, X) -> tuple:
+    """(integers, e): the coefficients times X^p, p = 0, 1, ..., as integers
+    times 2^e, e set by the largest so that it keeps mp.prec bits; the
+    products with X^p are rounded at the caller's precision."""
+    scaled, xp = [], mpf(1)
+    for v in family:
+        scaled.append(v * xp)
+        xp *= X
+    top = max((mp.mag(v) for v in scaled if v), default=None)
+    if top is None:
+        return [0] * len(family), 0
+    e = top - mp.prec
+    return [_fixed(v, e) for v in scaled], e
 
-    ``series`` holds the residual arrays of :func:`_residual_series`.  Each
-    node's columns are built once and paired once with each rank's series,
-    and each rank's quadrature sum is one dot product of the weights with
-    the squared values.
+
+def _convolve(f: list, g: list) -> list:
+    """Coefficients of the product of two integer polynomials, exactly;
+    a square (f is g) sums the symmetric half once."""
+    lf, lg, gr = len(f), len(g), g[::-1]
+    out = []
+    for t in range(lf + lg - 1):
+        lo = max(0, t - lg + 1)
+        if f is g:
+            mid = (t + 1) // 2
+            c = 2 * sum(map(mul, f[lo:mid], gr[lg - 1 - t + lo:lg - 1 - t + mid]))
+            out.append(c + f[t // 2] ** 2 if t % 2 == 0 else c)
+        else:
+            hi = min(t, lf - 1) + 1
+            out.append(sum(map(mul, f[lo:hi], gr[lg - 1 - t + lo:lg - 1 - t + hi])))
+    return out
+
+
+def _residual_square(R, X, n: int, moments: dict, guard: int):
+    """(integral of phi^2 over [0, X], significant digits it certifies) for
+    one residual series R = (a, b, c, d), rounded at bits = mp.prec + guard.
+
+    In s = x / X the coefficient of x^p takes a factor X^p, and with
+    theta = pi n s, phi = Re[(b - i a) e^(i theta)] + G e^theta + H e^-theta,
+    G = (d + c)/2 and H = (d - c)/2 formed exactly.  Each family becomes
+    integers at its own binary exponent, ``bits`` bits below its largest
+    coefficient; the products of _PRODUCTS are exact convolutions, and the
+    integral is X times one ``fdot`` of their coefficients with ``moments``
+    (from :func:`_square_moments` at ``bits``).  The digits come from a
+    running error bound (Higham, Accuracy and Stability, 3.3) on the sum of
+    absolute values: moments within 4 (2 len(a) + 8 n + 16) units of their
+    last place of their size, coefficients within (length + 1) 2^e of their
+    scaled value, the terms below 2^(-2 bits) of the running sum that
+    ``fdot``'s exact summation drops, and the two roundings.
     """
-    with ctx.workprec():
-        rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
-        top = len(series[-1][0]) - 1
-        values = [[series_dot(R, columns) for R in series]
-                  for columns in _node_columns(sol.n, sol.X, rule, top)]
-        return [mp.fdot(rule.weights, [v * v for v in rank]) for rank in zip(*values)]
-
-
-def default_panels(n: int) -> int:
-    """Starting panel count P = max(2, ceil(pi n / 8)) of the residual rule.
-
-    Every term is a polynomial times sin, cos, sinh or cosh of pi n x / X, so
-    the squared residual turns through 2 pi n over [0, X] whatever X is.  P
-    panels keep that turn to at most 16 rad per 20-node panel, and to at most
-    8 rad in the doubled pass whose values are returned.  The polynomial
-    degree 2 (M(m) + r) does not enter: splitting [0, X] does not lower a
-    degree, so sizing by it only multiplies nodes.  The P -> 2P doubling check
-    remains the gate for any integrand this count does not resolve.
-    """
-    return max(2, math.ceil(math.pi * n / 8))
+    a, b, c, d = R
+    with mp.workprec(mp.prec + guard):
+        bits = mp.prec
+        G = [mp.ldexp(mp.fadd(dv, cv, exact=True), -1) for cv, dv in zip(c, d)]
+        H = [mp.ldexp(mp.fsub(dv, cv, exact=True), -1) for cv, dv in zip(c, d)]
+        families = [_unit_integers(f, X) for f in (a, b, G, H)]
+        terms, absum, conversion = [], mpf(0), mpf(0)
+        for i, j, columns in _PRODUCTS:
+            (f, ef), (g, eg) = families[i], families[j]
+            if not (any(f) and any(g)):   # exactly zero; its e bounds nothing
+                continue
+            C = _convolve(f, g)
+            top = max(v.bit_length() for v in C)
+            spread = math.fsum(2.0 ** (v.bit_length() - top) / (t + 1)
+                               for t, v in enumerate(C) if v)
+            # each coefficient of C is within min(len) (m_f d_g + d_f m_g + d_f d_g)
+            # of its exact value, m the largest coefficient and d its conversion error
+            slack = min(len(f), len(g)) * ((len(f) + len(g) + 2 << bits)
+                                           + (len(f) + 1) * (len(g) + 1))
+            for shift, sign, name in columns:
+                values, size = moments[name]
+                k = ef + eg + shift
+                terms += zip(C if sign > 0 else [-v for v in C],
+                             [mp.ldexp(v, k) for v in values[:len(C)]])
+                absum += size * mp.ldexp(spread, top + k)
+                conversion += size * mp.ldexp(mpf(slack) * (1 + math.log(len(C))), k)
+        total = mp.fdot(terms) * X
+        err = X * (absum * (mp.ldexp(4 * (2 * len(a) + 8 * n + 16), -bits)
+                            + mp.ldexp(len(terms), -2 * bits))
+                   + conversion) + mp.ldexp(abs(total), 1 - bits)
+        if not err:
+            return total, math.inf
+        return total, max(0.0, float(mp.log10(abs(total) / err))) if total else 0.0
 
 
 def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
-    """delta_n(k) for every rank k = 0..m, sharing one quadrature pass.
+    """delta_n(k) for every rank k = 0..m: the square root of the exact
+    integral of phi_k^2 over [0, X], moment columns taken once per sweep.
 
-    Runs the panel-doubling convergence check on the squared norms; a rank
-    that fails to settle is logged and the finer value kept.
+    A rank certified to fewer than CERTIFIED_DIGITS digits is redone once
+    with the guard raised by the shortfall plus 64 bits, and logged if still
+    short.  The products are exact and every other error scales with
+    2^-guard, so one retry is enough.  A pass certifying under one digit
+    bounds nothing: its retry allows for the cancellation of all its bits
+    again, which covers the square of a series that cancels to its last place.
     """
     series = _residual_series(sol, spec, ctx)
-    squares, _ = _doubled(lambda p: _residual_integrals(sol, series, p, ctx),
-                          default_panels(sol.n), ctx,
-                          f"residual (n={sol.n}, m={sol.m})")
     with ctx.workprec():
-        return [mp.sqrt(abs(v)) for v in squares]
+        prec = mp.prec
+        with mp.workprec(prec + GUARD_BITS):
+            moments = _square_moments(sol.n, 2 * len(series[-1][0]) - 2)
+        deltas = []
+        for k, R in enumerate(series):
+            square, digits = _residual_square(R, sol.X, sol.n, moments, GUARD_BITS)
+            if digits < CERTIFIED_DIGITS:
+                lost = digits if digits >= 1 else -(prec + GUARD_BITS) / math.log2(10)
+                guard = GUARD_BITS + 64 + math.ceil((CERTIFIED_DIGITS - lost) * math.log2(10))
+                with mp.workprec(prec + guard):
+                    retry = _square_moments(sol.n, 2 * len(R[0]) - 2)
+                square, digits = _residual_square(R, sol.X, sol.n, retry, guard)
+                if digits < CERTIFIED_DIGITS:
+                    log.warning("residual integral (n=%d, m=%d, rank %d) certifies "
+                                "only %.1f digits", sol.n, sol.m, k, digits)
+            deltas.append(mp.sqrt(abs(square)))
+        return deltas
 
 
 def residual_norm(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) -> mpf:
@@ -286,7 +351,6 @@ def load_fixtures() -> FixtureSet:
 # --- sine-Galerkin oracle -------------------------------------------------------
 
 MAX_INVERSE_ITERATIONS = 60
-GUARD_BITS = 64   # bits kept below the largest entry beyond mp.prec
 
 
 def _sine_cosine_integrals(X, max_power: int, max_freq: int, ctx: PrecisionContext):
@@ -316,8 +380,8 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
 
     Entry (p, q) is delta_pq w_p^4 plus (2/X) times the sum over powers l of
     (q0_l - w_p^2 q2_l) int x^l sin_p sin_q + w_p q1_l int x^l cos_p sin_q:
-    one exactly rounded dot product over the potential coefficients, with
-    the product integrals in closed form.
+    one exactly rounded dot product of the weights and their negatives with
+    the closed-form integrals of x^l cos and x^l sin at |p - q| and p + q.
     """
     with ctx.workprec():
         X = spec.X
@@ -325,24 +389,24 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
         rows = []
         for p in range(1, N + 1):
             wp = p * mp.pi / X
-            # weights of 2 int x^l sin_p sin_q and 2 int x^l cos_p sin_q, 2/X folded in
+            # weights of 2 int x^l sin_p sin_q and 2 int x^l cos_p sin_q, 2/X folded
+            # in, with their negatives and the integrals they pair with
             w_ss = [(c0 - wp ** 2 * c2) / X for c0, c2 in
                     zip_longest(spec.q0, spec.q2, fillvalue=0)]
             w_cs = [c1 * wp / X for c1 in spec.q1]
+            ss = [(w, -w, I_c[l]) for l, w in enumerate(w_ss) if w]
+            cs = [(w, -w, I_s[l]) for l, w in enumerate(w_cs) if w]
             row = []
             for q in range(1, N + 1):
-                d, sign = abs(p - q), (1 if p >= q else -1)
-                entry = mp.fdot(chain(
-                    ((w, I_c[l][d] - I_c[l][p + q]) for l, w in enumerate(w_ss) if w),
-                    ((w, I_s[l][p + q] - sign * I_s[l][d]) for l, w in enumerate(w_cs) if w)))
+                # 2 sin_p sin_q = cos_(p-q) - cos_(p+q), 2 cos_p sin_q = sin_(p+q) -+ sin_|p-q|
+                d, s = abs(p - q), p + q
+                pairs = [pair for w, nw, I in ss for pair in ((w, I[d]), (nw, I[s]))]
+                pairs += [pair for w, nw, I in cs
+                          for pair in ((w, I[s]), (nw if p >= q else w, I[d]))]
+                entry = mp.fdot(pairs)
                 row.append(entry + wp ** 4 if p == q else entry)
             rows.append(tuple(row))
         return tuple(rows)
-
-
-def _fixed(value, e: int) -> int:
-    """The integer nearest value / 2^e (exact shift, one rounding)."""
-    return to_int(mpf_shift(value._mpf_, -e), round_nearest)
 
 
 def _lu_factor(rows, ctx: PrecisionContext):

@@ -10,8 +10,9 @@ sequential multiply-adds instead of one dot product per right-hand-side
 coefficient, Horner loops instead of one dot product per point value, the
 majorant-chain envelope of the eigenvalue corrections, an mpf Crout LU
 with one ``fdot`` per entry instead of the Galerkin oracle's scaled integers,
-and a residual integrand evaluated term by term at each node instead of one
-residual series per rank.
+and a residual integrand evaluated term by term at each node of a
+Gauss-Legendre rule instead of the exact integral of one residual series
+per rank.
 """
 
 import itertools
@@ -22,7 +23,10 @@ from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values,
                                series_dot)
 from fdsl4.problem import poly_eval
 from fdsl4.spectral import MomentTable
-from fdsl4.verify import NODES_PER_PANEL, QuadratureRule
+from fdsl4.verify import QuadratureRule
+
+NODES_PER_PANEL = 20
+
 
 def naive_poly_eval(coeffs, x):
     """Term-by-term power sum, no Horner."""
@@ -420,8 +424,9 @@ def fdot_nearest_eigenvalue(rows, shift, ctx, max_iter=60):
 def pointwise_residual_integrals(sol, spec, panels, ctx):
     """Integral of the squared residual for every rank 0..m, node by node.
 
-    The per-node integrand that :func:`fdsl4.verify.residual_sweep` replaced:
-    at each node every term and derivative order is paired with the columns
+    A composite Gauss-Legendre rule of ``panels`` NODES_PER_PANEL-node panels,
+    which :func:`fdsl4.verify.residual_sweep` replaced by exact moments.  At
+    each node every term and derivative order is paired with the columns
     of ``basis_values``, q0, q1 and q2 are evaluated there, and the rank-k
     residual is the running sum of (u'''' + q2 u'' + q1 u' + q0 u) minus the
     rank-k eigenvalue times the running sum of u.  Each node's weighted

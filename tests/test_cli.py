@@ -7,6 +7,7 @@ import os
 import pytest
 from mpmath import mp, mpf
 
+from fdsl4 import cli
 from fdsl4.cli import main
 from fdsl4.corrections import solution_from_payload
 from fdsl4.numerics import PrecisionContext
@@ -60,12 +61,19 @@ def test_solve_json_export(capsys, tmp_path):
     ("solve", "--m", "1", "--json"),
     ("sweep", "--m-max", "1", "--out"),
 ])
-def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+def test_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # the missing directory is reported before any solve, and nothing is written
+    def no_solve(*args):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     *head, flag = argv
     code, _, err = run(capsys, *head, "--problem", B2, "--digits", "40",
                        flag, str(tmp_path / "missing" / "out"))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_multiple_indices_ordered(capsys):

@@ -203,3 +203,14 @@ def test_constructor_rejects_short_potentials():
         for q0, q1, q2 in ((short, ok, ok), (ok, short, ok), (ok, ok, short)):
             with pytest.raises(ValueError, match="pad constants"):
                 ProblemSpec(X=mpf(1), q0=q0, q1=q1, q2=q2)
+
+
+def test_constructor_stores_list_potentials_as_tuples():
+    # a list potential used to break omega's cache with "unhashable type: 'list'"
+    with CTX.workprec():
+        spec = ProblemSpec(X=mpf(1), q0=[mpf(0), mpf(1)], q1=[mpf("0.5"), mpf(0)],
+                           q2=[mpf(0), mpf(0), mpf("-0.25")])
+    want = ProblemSpec.make(1, [0, 1], ["0.5", 0], [0, 0, "-0.25"], CTX)
+    assert spec == want
+    assert isinstance(spec.q0, tuple) and isinstance(spec.q2, tuple)
+    assert omega(spec, CTX) == omega(want, CTX)

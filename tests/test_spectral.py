@@ -1,12 +1,14 @@
 """Moment tables, eigenvalue corrections, and the orchestrated solve."""
 
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
-                   lambda_correction, matching_digits, moments, solve, spectral)
+                   lambda_correction, matching_digits, moments, solve, spectral, verify)
 from fdsl4.corrections import basis_values
 from fdsl4.rhs import build_rhs
 
@@ -64,6 +66,36 @@ def test_moments_match_quadrature():
                 assert abs(table.beta[t] - qb) < mpf(10) ** -40
                 assert abs(table.eta[t] - qe) < mpf(10) ** -40 * scale
                 assert abs(table.mu[t] - qm) < mpf(10) ** -40 * scale
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_square_moments_match_quadrature(n):
+    # the residual's moment columns over [0, 1]: K_t at 2 pi n i, (+-1 + i) pi n
+    # and +-2 pi n from the exponential-moment recurrence, against quadrature,
+    # each within 1e-60 of its size bound max(1, e^(Re Z)) / (t+1)
+    T = 6
+    with CTX.workprec():
+        columns = verify._square_moments(n, T)
+        rule = QuadratureRule.build(1, 4 * n + 8, 20, CTX)
+        th = [mp.pi * n * s for s in rule.nodes]
+        cos, sin = zip(*(mp.cos_sin(v) for v in th))
+        up, down = [mp.exp(v) for v in th], [mp.exp(-v) for v in th]
+        integrands = {
+            "one": [mpf(1)] * len(th), "cos2": [c * c - s * s for c, s in zip(cos, sin)],
+            "sin2": [2 * s * c for c, s in zip(cos, sin)],
+            "cos_up": list(map(mul, cos, up)), "sin_up": list(map(mul, sin, up)),
+            "cos_down": list(map(mul, cos, down)), "sin_down": list(map(mul, sin, down)),
+            "up2": [e * e for e in up], "down2": [e * e for e in down],
+        }
+        assert set(columns) == set(integrands)
+        for name, f in integrands.items():
+            values, size = columns[name]
+            assert len(values) == T + 1
+            for t, v in enumerate(values):
+                want = mp.fdot(rule.weights, [s ** t * fs for s, fs in zip(rule.nodes, f)])
+                bound = mpf(size) / (t + 1)
+                assert abs(v) <= bound
+                assert abs(v - want) <= mpf(10) ** -60 * bound, (name, t)
 
 
 def test_moments_match_closed_form_oracle():

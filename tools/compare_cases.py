@@ -6,7 +6,8 @@ n in {1, 2, 50} at rank 10, and the 20 seeded random problems of
 digits.  For each case the record holds the rank-m eigenvalue, every
 correction lambda^(j), a sha256 of each term's four coefficient arrays and
 omega.  It also holds the residual sweeps of benchmark 2 at (n, m) = (1, 10)
-and (50, 4).  Every real is written exactly, as ``mantissa*2^exponent``.
+and (50, 4), and of benchmark 1 at (1, 10) and (8, 6), whose q1 and q2 are
+nonzero.  Every real is written exactly, as ``mantissa*2^exponent``.
 
 The library and the random problems come from the checkout that holds this
 script, so a record of another revision is made by running a copy of the
@@ -36,7 +37,7 @@ from mpmath import mp  # noqa: E402
 from tests.conftest import make_random_problems  # noqa: E402
 
 DIGITS = 300
-SWEEPS = ((1, 10), (50, 4))
+SWEEPS = (("b2", 1, 10), ("b2", 50, 4), ("b1", 1, 10), ("b1", 8, 6))
 
 
 def exact(value) -> str:
@@ -52,18 +53,19 @@ def digest(term) -> str:
 
 
 def cases(ctx):
-    """(name, spec, n, m) for every case, in a fixed order."""
+    """(name, spec, n, m) for every case, in a fixed order, and the two
+    benchmark specs by name."""
     b1 = fdsl4.load_problem(ROOT / "problems" / "benchmark1.cfg", ctx)
     b2 = fdsl4.load_problem(ROOT / "problems" / "benchmark2.cfg", ctx)
     out = [(f"b1 n={n} m=20", b1, n, 20) for n in range(1, 9)]
     out += [(f"b2 n={n} m=10", b2, n, 10) for n in (1, 2, 50)]
     out += [(f"random {i} n=1 m=4", spec, 1, 4)
             for i, spec in enumerate(make_random_problems(20, ctx))]
-    return out, b2
+    return out, {"b1": b1, "b2": b2}
 
 
 def record(ctx) -> dict:
-    rows, b2 = cases(ctx)
+    rows, benchmarks = cases(ctx)
     result = {"cases": {}, "sweeps": {}}
     for name, spec, n, m in rows:
         sol = fdsl4.solve(spec, n, m, ctx)
@@ -74,10 +76,12 @@ def record(ctx) -> dict:
             "omega": exact(fdsl4.omega(spec, ctx)),
         }
         print(name, file=sys.stderr)
-    for n, m in SWEEPS:
-        sol = fdsl4.solve(b2, n, m, ctx)
-        result["sweeps"][f"b2 n={n} m={m}"] = [exact(v) for v in fdsl4.residual_sweep(sol, b2, ctx)]
-        print(f"sweep n={n} m={m}", file=sys.stderr)
+    for name, n, m in SWEEPS:
+        spec = benchmarks[name]
+        sol = fdsl4.solve(spec, n, m, ctx)
+        result["sweeps"][f"{name} n={n} m={m}"] = [
+            exact(v) for v in fdsl4.residual_sweep(sol, spec, ctx)]
+        print(f"sweep {name} n={n} m={m}", file=sys.stderr)
     return result
 
 
