@@ -40,6 +40,67 @@ def test_rule_weights_sum_to_length():
         assert abs(sum(rule.weights) - mpf("2.5")) < mpf(10) ** -110
 
 
+def _square_of(R, n, X, ctx):
+    """_residual_square of one series R at ctx, moments sized to R."""
+    with ctx.workprec():
+        X = mpf(X)
+        with mp.workprec(mp.prec + verify.GUARD_BITS):
+            moments = verify._square_moments(n, 2 * max(map(len, R)) - 2)
+        return verify._residual_square(R, X, n, moments, verify.GUARD_BITS)
+
+
+def test_adaptive_integration_flags_convergence():
+    # a series with all four families, shaped like a residual (sin and cos
+    # of one length, sinh and cosh of another): the exact square integral
+    # flags that it certifies its digits, and matches quadrature of the
+    # pointwise square
+    n, X = 3, "2"
+    with CTX.workprec():
+        R = tuple(tuple(mpf(v) for v in f) for f in
+                  (["0.5", "-1.25", "0.75"], ["1", "0.3", 0], ["0.2", "-0.1"], ["-0.4", "0.6"]))
+        value, digits = _square_of(R, n, X, CTX)
+        assert digits >= verify.CERTIFIED_DIGITS
+        w = mp.pi * n / mpf(X)
+
+        def phi(x):
+            sin_wx, cos_wx = mp.sin(w * x), mp.cos(w * x)
+            sinh_wx, cosh_wx = mp.sinh(w * x), mp.cosh(w * x)
+            return sum(poly_eval(f, x) * v for f, v in
+                       zip(R, (sin_wx, cos_wx, sinh_wx, cosh_wx)))
+
+        # 64 twenty-node panels are good to about 1e-92 here, 16 only to 1e-68
+        want = QuadratureRule.build(X, 64, 20, CTX).integrate(lambda x: phi(x) ** 2, CTX)
+        assert abs(value - want) < abs(want) * mpf(10) ** -85
+
+
+def test_adaptive_integration_warns_when_unsettled(sized_specs, monkeypatch, caplog):
+    # a rank still short of CERTIFIED_DIGITS after its retry is logged, once
+    # per rank, and its value is still returned
+    spec, m = sized_specs["benchmark2"], 3
+    sol = solve(spec, 2, m, CTX)
+    want = residual_sweep(sol, spec, CTX)
+    square = verify._residual_square
+    guards = []
+
+    def short(R, X, n, moments, guard):
+        value, digits = square(R, X, n, moments, guard)
+        guards.append(guard)
+        return value, min(digits, verify.CERTIFIED_DIGITS - 1)
+
+    monkeypatch.setattr(verify, "_residual_square", short)
+    with caplog.at_level(logging.WARNING, logger="fdsl4.verify"):
+        got = residual_sweep(sol, spec, CTX)
+    assert len(guards) == 2 * (m + 1)
+    assert guards[::2] == [verify.GUARD_BITS] * (m + 1)
+    assert all(g > verify.GUARD_BITS for g in guards[1::2])
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == m + 1
+    assert all("certifies only" in text for text in warnings)
+    with CTX.workprec():
+        for delta, ref in zip(got, want, strict=True):
+            assert abs(delta - ref) <= ref * mpf(10) ** -(CTX.digits - 15)
+
+
 def test_residual_zero_potentials():
     spec = ProblemSpec.make(1, [0, 0], [0, 0], [0, 0], CTX)
     for m in (0, 3):
@@ -98,6 +159,38 @@ def test_residual_sweep_caches_one_tuple_per_term(sized_specs):
     residual_sweep(sol, spec, CTX)
     info = _derivative_arrays.cache_info()
     assert (info.currsize, info.misses) == (m + 1, m + 1)
+
+
+@pytest.mark.parametrize("name, n, m", [("benchmark2", 1, 4), ("benchmark2", 50, 4),
+                                        ("benchmark1", 1, 6), ("benchmark1", 8, 6),
+                                        ("degree4", 50, 3)])
+def test_sized_rule_settles_on_first_doubling(sized_specs, name, n, m,
+                                              monkeypatch, caplog):
+    # the exact integral certifies every rank on its first pass, at the
+    # default guard: no rank is redone and nothing is logged; the deltas
+    # agree with the term-by-term integrand on 4 max(2, ceil(pi n / 8)) panels
+    spec = sized_specs[name]
+    sol = solve(spec, n, m, CTX)
+    square = verify._residual_square
+    passes = []
+
+    def counted(R, X, n, moments, guard):
+        value, digits = square(R, X, n, moments, guard)
+        passes.append((guard, digits))
+        return value, digits
+
+    monkeypatch.setattr(verify, "_residual_square", counted)
+    with caplog.at_level(logging.WARNING, logger="fdsl4.verify"):
+        sweep = residual_sweep(sol, spec, CTX)
+    assert [guard for guard, _ in passes] == [verify.GUARD_BITS] * (m + 1)
+    assert min(digits for _, digits in passes) >= verify.CERTIFIED_DIGITS
+    assert not caplog.records
+    panels = 4 * max(2, math.ceil(math.pi * n / 8))
+    finer = pointwise_residual_integrals(sol, spec, panels, CTX)
+    with CTX.workprec():
+        for delta, integral in zip(sweep, finer, strict=True):
+            want = mp.sqrt(abs(integral))
+            assert abs(delta - want) <= want * mpf("1e-15")
 
 
 @pytest.mark.parametrize("name, n, m", [("benchmark2", 1, 10), ("benchmark2", 50, 4),
