@@ -4,9 +4,10 @@ The closure and the eigenvalue corrections need the integrals over [0, X] of
 x^t against sin^2(w x), sin(w x) cos(w x), sin(w x) cosh(w x) and
 sin(w x) sinh(w x) with w = pi n / X: real or imaginary parts of the
 exponential moments J_t(z) = int x^t e^(z x) dx, z in {2iw, (1+i)w, (-1+i)w}.
-Integration by parts links J_t to J_(t-1); run in its stable direction on
-each side of t = |z X| it fills a :class:`MomentTable` in O(T) operations
-that stay accurate as T grows, once per (n, rank), shared by every step.
+Integration by parts links J_t to J_(t-1); run forward with enough extra
+bits to absorb its growth above t = |z X|, it fills a :class:`MomentTable`
+in O(T) operations that stay accurate as T grows, once per (n, rank),
+shared by every step.
 The table also carries the point columns at X, which the closure's u(X) = 0
 condition pairs with each new correction.
 
@@ -24,9 +25,10 @@ projection that the eigenvalue correction and the closure share is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from . import recursion
 from .corrections import (CorrectionTerm, FDSolution, assemble, base_pair, basis_values,
@@ -57,31 +59,28 @@ class MomentTable:
         return series_dot(arrays, (self.alpha, self.beta, self.mu, self.eta))
 
 
-def _exp_moments(Z, E, T: int) -> list:
-    """K_t = integral over [0, 1] of s^t e^(Z s) ds for t = 0..T, given E = e^Z.
+def _exp_moments(re: int, im: int, n: int, T: int) -> list:
+    """K_t = integral over [0, 1] of s^t e^(Z s) ds for t = 0..T, Z = (re + i im) pi n.
 
-    K_t = (E - t K_(t-1)) / Z multiplies rounding by t/|Z|, so it runs
-    forward up to t = turn = floor(|Z|) and backward, K_(t-1) = (E - Z K_t)/t,
-    above that, from K_T summed by Kummer's transformation (DLMF 13.2.39).
+    One forward recurrence K_t = (E - t K_(t-1)) / Z from K_0 = (E - 1) / Z,
+    E = e^Z = e^(re pi n) (-1)^(im n) for integer im.  A step above
+    t = |Z| multiplies earlier roundings by t / |Z|, so up to T they grow by
+    at most T! / (turn! |Z|^(T - turn)), turn = min(T, floor(|Z|)).  Z, E and
+    the recurrence run with log2 of that plus 20 bits beyond the caller's
+    precision (E enters every K_t, which cancels against it), and each K_t
+    is rounded back to the caller's precision.
     """
-    turn = int(mp.hypot(Z.real, Z.imag))
-    inv_z = 1 / Z
-    K = [(E - 1) * inv_z]
-    for t in range(1, min(T, turn) + 1):
-        K.append((E - t * K[-1]) * inv_z)
-    if T > turn:
-        term = total = mpc(1)
-        tiny = mp.ldexp(1, -(mp.prec + 10))
-        i = T + 1
-        while abs(term.real) + abs(term.imag) >= tiny:
-            i += 1
-            term *= -Z / i
-            total += term
-        top = [E * total / (T + 1)]
-        for t in range(T, turn + 1, -1):
-            top.append((E - Z * top[-1]) / t)
-        K += reversed(top)
-    return K
+    size = math.pi * n * math.hypot(re, im)
+    turn = min(T, int(size))
+    growth = math.lgamma(T + 1) - math.lgamma(turn + 1) - (T - turn) * math.log(size)
+    with mp.workprec(mp.prec + 20 + math.ceil(growth / math.log(2))):
+        pn = mp.pi * n
+        inv_z = 1 / (pn * (re + 1j * im) if im else pn * re)
+        E = mp.exp(re * pn) * (-1) ** (im * n)
+        K = [(E - 1) * inv_z]
+        for t in range(1, T + 1):
+            K.append((E - t * K[-1]) * inv_z)
+    return [+k for k in K]
 
 
 def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
@@ -93,11 +92,9 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
         raise ValueError("highest power T must be >= 0")
     with ctx.workprec():
         X = mpf(X)
-        pn = mp.pi * n
-        e_pn = (-1) ** n * mp.exp(pn)          # e^((1+i) pi n), exactly real
-        trig = _exp_moments(mpc(0, 2 * pn), mpf(1), T)
-        grow = _exp_moments(mpc(pn, pn), e_pn, T)
-        decay = _exp_moments(mpc(-pn, pn), 1 / e_pn, T)
+        if not 0 < X < mp.inf:
+            raise ValueError("interval length X must be positive and finite")
+        trig, grow, decay = (_exp_moments(re, im, n, T) for re, im in ((0, 2), (1, 1), (-1, 1)))
         alpha, beta, eta, mu = [], [], [], []
         for t in range(T + 1):
             half = X ** (t + 1) / 2

@@ -10,9 +10,10 @@ instruments:
   coefficients by algebra (:func:`_residual_series`), and its square is
   integrated exactly: a finite sum of x^t e^(z x) over five exponents z,
   whose moments come from the same kernel as the solve's moment table
-  (:func:`fdsl4.spectral._exp_moments`).  A running error bound certifies
-  at least CERTIFIED_DIGITS digits of each integral, and the tests check
-  the integrals against composite Gauss-Legendre quadrature
+  (:func:`fdsl4.spectral._exp_moments`, which forms z and e^z from the
+  two integers naming z).  A running error bound certifies at least
+  CERTIFIED_DIGITS digits of each integral, and the tests check the
+  integrals against composite Gauss-Legendre quadrature
   (:class:`QuadratureRule`, nodes from ``mp.gauss_quadrature``);
 
 * reference values for the two benchmark problems (exact eigenvalues of the
@@ -45,7 +46,7 @@ from importlib import resources
 from itertools import zip_longest
 from operator import mul
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import mpf_shift, round_nearest, to_int
 
 from .corrections import FDSolution, _derivative_arrays, combine_series, lambda_partials
@@ -168,23 +169,19 @@ def _square_moments(n: int, T: int) -> dict:
     """Name -> (column, size) for t = 0..T: the integrals over [0, 1] of s^t
     times each function of _PRODUCTS, 1/(t+1) or a real or imaginary part of
     K_t(Z) at Z = 2 pi n i, (+-1 + i) pi n or +-2 pi n from the solve's
-    moment kernel :func:`~fdsl4.spectral._exp_moments`.  No entry exceeds
-    size / (t+1), size = max(1, e^(Re Z)).  Runs at the caller's precision.
+    moment kernel :func:`~fdsl4.spectral._exp_moments`, named by the
+    exponents of Z.  No entry exceeds size / (t+1), size = max(1, e^(Re Z)).
+    Runs at the caller's precision.
     """
-    pn = mp.pi * n
-    e_pn = mp.exp(pn)
-    sign = (-1) ** n                                   # e^(i pi n)
-    trig = _exp_moments(mpc(0, 2 * pn), mpf(1), T)
-    grow = _exp_moments(mpc(pn, pn), sign * e_pn, T)
-    decay = _exp_moments(mpc(-pn, pn), sign / e_pn, T)
-    up2 = _exp_moments(2 * pn, e_pn ** 2, T)
-    down2 = _exp_moments(-2 * pn, 1 / e_pn ** 2, T)
+    trig, grow, decay, up2, down2 = (_exp_moments(re, im, n, T) for re, im in
+                                     ((0, 2), (1, 1), (-1, 1), (2, 0), (-2, 0)))
+    e_pn = mp.exp(mp.pi * n)
     return {
         "one": ([mpf(1) / (t + 1) for t in range(T + 1)], 1),
         "cos2": ([K.real for K in trig], 1), "sin2": ([K.imag for K in trig], 1),
         "cos_up": ([K.real for K in grow], e_pn), "sin_up": ([K.imag for K in grow], e_pn),
         "cos_down": ([K.real for K in decay], 1), "sin_down": ([K.imag for K in decay], 1),
-        "up2": ([K.real for K in up2], e_pn ** 2), "down2": ([K.real for K in down2], 1),
+        "up2": (up2, e_pn ** 2), "down2": (down2, 1),
     }
 
 
@@ -473,11 +470,11 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     """Eigenvalue of the sine-Galerkin matrix nearest the shift.
 
     Shifted inverse iteration: one LU factorization of (A - shift I), then
-    repeated solves; the Rayleigh quotient of the iterate is returned once it
-    settles to ~1e-12 relative.  Raises OracleConvergenceError otherwise.
-    The iterate v is kept as integers v * 2^bits with max |v| = 1, and the
-    unshifted rows at the factors' scale 2^e, so the Rayleigh sums are exact
-    and the quotient is rounded once.
+    repeated solves; the Rayleigh quotient of the iterate is returned once
+    two in a row agree to ctx.eps relative.  Raises OracleConvergenceError
+    otherwise.  The iterate v is kept as integers v * 2^bits with
+    max |v| = 1, and the unshifted rows at the factors' scale 2^e, so the
+    Rayleigh sums are exact and the quotient is rounded once.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -498,8 +495,7 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
                 "shifted matrix stayed singular after perturbing the shift")
         a = [[_fixed(v, e) for v in row] for row in rows]
         v = [1 << bits] * N
-        ritz_prev = None
-        reltol = mpf(10) ** (-min(12, ctx.digits // 2))
+        ritz_prev, reltol = None, ctx.eps
         for _ in range(MAX_INVERSE_ITERATIONS):
             y = _lu_solve(lu, piv, v, bits)
             norm = max(map(abs, y))

@@ -407,8 +407,7 @@ def fdot_nearest_eigenvalue(rows, shift, ctx, max_iter=60):
                    for i, row in enumerate(rows)]
         lu, piv = fdot_lu_factor(shifted, ctx)
         v = [mpf(1)] * len(rows)
-        ritz_prev = None
-        reltol = mpf(10) ** (-min(12, ctx.digits // 2))
+        ritz_prev, reltol = None, ctx.eps
         for _ in range(max_iter):
             y = fdot_lu_solve(lu, piv, v, ctx)
             norm = max(abs(c) for c in y)

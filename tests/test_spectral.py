@@ -99,7 +99,7 @@ def test_square_moments_match_quadrature(n):
 
 
 def test_moments_match_closed_form_oracle():
-    # both the forward-only and the forward-then-backward paths, at every T <= 12
+    # every T <= 12: at n=1 on both sides of t = |Z|, at n=3 and 50 below it
     ctx = PrecisionContext(digits=300)
     for n in (1, 3, 50):
         for X in ("0.5", "1", "5"):
@@ -110,12 +110,28 @@ def test_moments_match_closed_form_oracle():
                     assert gap < mpf(10) ** -290, (n, X, T, gap)
 
 
-def test_moments_stable_at_high_power():
-    # the closed form is wrong in every digit here (error about 6e+122)
+def _table_columns(n, T, ctx):
+    table = moments(n, 5, T, ctx)
+    return [getattr(table, col) for col in COLUMNS]
+
+
+def _square_columns(n, T, ctx):
+    with ctx.workprec():
+        return [values for values, _ in verify._square_moments(n, T).values()]
+
+
+@pytest.mark.parametrize("kind, n, T",
+                         [("table", n, T) for n in (1, 2, 8, 50) for T in (42, 305)]
+                         + [("square", 1, 410), ("square", 8, 100)])
+def test_moments_stable_at_high_power(kind, n, T):
+    # far above t = |Z| each forward step scales the rounding by t/|Z|, which
+    # the kernel's extra bits must absorb; at n=1, T=305 the closed form is
+    # wrong in every digit (error about 6e+122)
+    columns = _table_columns if kind == "table" else _square_columns
     lo, hi = PrecisionContext(digits=300), PrecisionContext(digits=450)
-    a, b = moments(1, 5, 305, lo), moments(1, 5, 305, hi)
     digits = min(matching_digits(x, y, hi)
-                 for col in COLUMNS for x, y in zip(getattr(a, col), getattr(b, col)))
+                 for a, b in zip(columns(n, T, lo), columns(n, T, hi))
+                 for x, y in zip(a, b, strict=True))
     assert digits >= 295
 
 
@@ -150,6 +166,9 @@ def test_moments_validate_arguments():
         moments(0, 1, 3, CTX)
     with pytest.raises(ValueError):
         moments(1, 1, -1, CTX)
+    for X in (0, -1, "inf"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            moments(1, X, 3, CTX)
 
 
 def test_first_correction_x_potential(x_potential):

@@ -418,13 +418,11 @@ def test_integer_lu_matches_fdot_reference(name, request):
 
 @pytest.mark.parametrize("name", ["benchmark1", "benchmark2"])
 def test_oracle_matches_dense_eigensolver(name, request):
-    # mp.eig (Hessenberg QR) shares no code with either LU.  The stopping
-    # rule (successive Ritz values within 1e-12) leaves a shift 7 digits off
-    # with about 29 digits, so the fixture shift is refined once by the oracle.
+    # mp.eig (Hessenberg QR) shares no code with either LU; the fixture
+    # shift is 7 digits from benchmark 1's matrix eigenvalue at N=12
     spec = request.getfixturevalue(name)
     fx = load_fixtures()
-    shift = fx.b1_exact[2] if name == "benchmark1" else fx.b2_rank10[2]
-    shift = galerkin_nearest_eigenvalue(spec, shift, 12, CTX50)
+    shift = CTX50.mpf(fx.b1_exact[2] if name == "benchmark1" else fx.b2_rank10[2])
     ritz = galerkin_nearest_eigenvalue(spec, shift, 12, CTX50)
     with CTX50.workprec():
         eigs = mp.eig(mp.matrix(build_galerkin(spec, 12, CTX50)), left=False, right=False)

@@ -4,10 +4,12 @@ The cases: benchmark 1 with n = 1..8 at rank 20, benchmark 2 with
 n in {1, 2, 50} at rank 10, and the 20 seeded random problems of
 ``tests/conftest.make_random_problems`` with n = 1 at rank 4, all at 300
 digits.  For each case the record holds the rank-m eigenvalue, every
-correction lambda^(j), a sha256 of each term's four coefficient arrays and
-omega.  It also holds the residual sweeps of benchmark 2 at (n, m) = (1, 10)
-and (50, 4), and of benchmark 1 at (1, 10) and (8, 6), whose q1 and q2 are
-nonzero.  Every real is written exactly, as ``mantissa*2^exponent``.
+correction lambda^(j), a sha256 of each term's four coefficient arrays,
+omega, and u at x = X/7, 3X/7 and 6X/7 (``eval_solution``), which says how
+far term arrays that differ move the eigenfunction.  It also holds the
+residual sweeps of benchmark 2 at (n, m) = (1, 10) and (50, 4), and of
+benchmark 1 at (1, 10) and (8, 6), whose q1 and q2 are nonzero.  Every
+real is written exactly, as ``mantissa*2^exponent``.
 
 The library and the random problems come from the checkout that holds this
 script, so a record of another revision is made by running a copy of the
@@ -69,11 +71,14 @@ def record(ctx) -> dict:
     result = {"cases": {}, "sweeps": {}}
     for name, spec, n, m in rows:
         sol = fdsl4.solve(spec, n, m, ctx)
+        with ctx.workprec():
+            points = [spec.X * k / 7 for k in (1, 3, 6)]
         result["cases"][name] = {
             "lambda": exact(sol.lambda_approx),
             "lambda_j": [exact(v) for v in sol.lambda_corrections],
             "terms": [digest(t) for t in sol.terms],
             "omega": exact(fdsl4.omega(spec, ctx)),
+            "u_values": [exact(fdsl4.eval_solution(sol, x, ctx=ctx)) for x in points],
         }
         print(name, file=sys.stderr)
     for name, n, m in SWEEPS:
@@ -101,7 +106,7 @@ def pairs(new: dict, old: dict):
         ref = old["cases"][name]
         yield "lambda", case["lambda"], ref["lambda"]
         yield "omega", case["omega"], ref["omega"]
-        for quantity in ("lambda_j", "terms"):
+        for quantity in ("lambda_j", "terms", "u_values"):
             if len(case[quantity]) != len(ref[quantity]):
                 raise ValueError(f"{name}: {quantity} lengths differ")
             for a, b in zip(case[quantity], ref[quantity]):
