@@ -26,7 +26,7 @@ for n in (1, 2, 3, 4, 5):
     with ctx.workprec():
         lam = sol.lambda_approx
     ritz = galerkin_nearest_eigenvalue(spec, lam, N, oracle_ctx)
-    agree = min(matching_digits(lam, ritz, oracle_ctx), oracle_ctx.digits)
+    agree = matching_digits(lam, ritz, oracle_ctx)
     print(f"{n:>3} {mp.nstr(lam, 20):>30} {mp.nstr(ritz, 20):>30} {agree:>7}")
 
 print()

@@ -4,11 +4,11 @@ series evaluated in arbitrary precision."""
 
 from .convergence import ConvergenceReport, convergence_report
 from .corrections import CorrectionTerm, FDSolution, assemble, base_pair, eval_solution, eval_term
-from .numerics import PrecisionContext, matching_digits, stability_probe
+from .numerics import PrecisionContext, matching_digits
 from .problem import ProblemSpec, load_problem, omega, parse_problem
 from .spectral import MomentTable, lambda_correction, moments, solve
 from .verify import (FixtureSet, QuadratureRule, galerkin_nearest_eigenvalue,
-                     load_fixtures, residual_norm, residual_sweep)
+                     load_fixtures, residual_sweep)
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,5 @@ __all__ = [
     "assemble", "base_pair", "convergence_report", "eval_solution",
     "eval_term", "galerkin_nearest_eigenvalue", "lambda_correction",
     "load_fixtures", "load_problem", "matching_digits", "moments",
-    "omega", "parse_problem",
-    "residual_norm", "residual_sweep", "solve", "stability_probe",
+    "omega", "parse_problem", "residual_sweep", "solve",
 ]

@@ -27,7 +27,7 @@ from mpmath import mp
 
 from .convergence import convergence_report
 from .corrections import lambda_partials, solution_to_payload
-from .numerics import PrecisionContext, matching_digits, stability_probe
+from .numerics import PrecisionContext, matching_digits
 from .problem import ProblemFormatError, load_problem
 from .spectral import solve
 from .verify import OracleConvergenceError, galerkin_nearest_eigenvalue, residual_sweep
@@ -119,9 +119,8 @@ def cmd_solve(args, spec, ctx) -> int:
                 note += "   # certification needs --digits >= 40"
             else:
                 half = PrecisionContext(digits=max(30, ctx.digits // 2))
-                agreed = stability_probe(
-                    lambda c, n=n: solve(spec, n, args.m, c).lambda_approx, ctx, half)
-                note += f"   # certified digits: {agreed}"
+                replay = solve(spec, n, args.m, half).lambda_approx
+                note += f"   # certified digits: {matching_digits(replay, sol.lambda_approx, half)}"
         print(f"n={n} m={args.m} lambda={_fmt(sol.lambda_approx, args.print_digits)}{note}")
     if args.json:
         payload = [solution_to_payload(s, ctx) for s in solutions]
@@ -193,7 +192,7 @@ def cmd_oracle(args, spec, ctx) -> int:
             print(f"oracle failed for n={n}: {exc}", file=sys.stderr)
             status = 1
             continue
-        agree = min(matching_digits(sol.lambda_approx, ritz, oracle_ctx), oracle_ctx.digits)
+        agree = matching_digits(sol.lambda_approx, ritz, oracle_ctx)
         print(f"{n:>4} {_fmt(sol.lambda_approx, args.print_digits):>{args.print_digits + 8}} "
               f"{_fmt(ritz, 15):>24} {agree:>7}")
     return status

@@ -12,11 +12,10 @@ failed check is reported as "condition not met", never as divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from mpmath import mp, mpf
 
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, check_index
 from .problem import ProblemSpec, omega
 
 
@@ -58,24 +57,12 @@ class ConvergenceReport:
             return self.r_n ** (m + 1) / ((m + 2) * mp.sqrt(mp.pi * (m + 1)))
 
 
-def majorant(j: int) -> int:
-    """Exact integer majorant value for step j+1: (2j+2)!/((j+1)!(j+2)!).
-
-    These are the Catalan numbers; they solve the convolution recurrence
-    satisfied by the normalized correction norms.
-    """
-    if j < 0:
-        raise ValueError("step index must be >= 0")
-    return comb(2 * j + 2, j + 1) // (j + 2)
-
-
 def convergence_report(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> ConvergenceReport:
     """Diagnostics for eigenpair index n, with the contraction constant
 
         M_n = (X^2/pi^2) * omega/(2n^2-2n+1) * [n + X/pi + X^2/(n pi^2)] * max(1, 2/X).
     """
-    if n < 1:
-        raise ValueError("eigenpair index must be >= 1")
+    n = check_index(n, 1, "eigenpair index must be >= 1")
     with ctx.workprec():
         X = spec.X
         om = omega(spec, ctx)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_cosh_sinh
 
-from .numerics import GUARD_DIGITS, PrecisionContext
+from .numerics import GUARD_DIGITS, PrecisionContext, check_index
 from .problem import ProblemSpec
 
 
@@ -67,8 +67,7 @@ class CorrectionTerm:
 
 def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
     """Base eigenpair (step-0 term, eigenvalue) for index n >= 1."""
-    if n < 1:
-        raise ValueError(f"eigenpair index must be >= 1, got {n}")
+    n = check_index(n, 1, "eigenpair index must be >= 1")
     with ctx.workprec():
         amp = mp.sqrt(2 / spec.X)
         lam0 = (n * mp.pi) ** 4 / spec.X ** 4
@@ -193,8 +192,7 @@ def assemble(terms, lambda_values, m: int, ctx: PrecisionContext) -> FDSolution:
     """
     terms = tuple(terms)
     lambda_values = tuple(lambda_values)
-    if m < 0:
-        raise ValueError("rank must be >= 0")
+    m = check_index(m, 0, "rank must be >= 0")
     if len(terms) < m + 1 or len(lambda_values) < m + 1:
         raise ValueError(f"need {m + 1} terms and eigenvalue entries for rank {m}")
     return FDSolution(n=terms[0].n, m=m, X=terms[0].X,

@@ -7,14 +7,15 @@ a context and evaluate inside ``ctx.workprec()``, which sets the global mpmath
 precision (plus a small guard) and restores it on exit.
 
 Because results are big floats rather than exact expressions, printed digits
-are certified by :func:`stability_probe`: replay the same computation at two
-precisions and count the leading digits on which the runs agree.
+are certified by replay: ``fdsl4 solve --certify`` solves again at half the
+precision and counts, with :func:`matching_digits`, the leading digits on
+which the two runs agree.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable
 
 from mpmath import mp, mpf, workdps
 
@@ -30,8 +31,7 @@ class PrecisionContext:
     digits: int = 300
 
     def __post_init__(self) -> None:
-        if self.digits < 30:
-            raise ValueError(f"working precision must be at least 30 digits, got {self.digits}")
+        check_index(self.digits, 30, "working precision must be at least 30 digits")
 
     def workprec(self):
         """Context manager setting mpmath precision to digits + guard."""
@@ -49,8 +49,18 @@ class PrecisionContext:
             return mpf(10) ** (-self.digits)
 
 
+def check_index(value, low: int, message: str) -> int:
+    """``value`` as an int: TypeError unless it is an integer
+    (``operator.index``), ValueError(message) if it is below ``low``."""
+    index = operator.index(value)
+    if index < low:
+        raise ValueError(f"{message}, got {index}")
+    return index
+
+
 def matching_digits(value, reference, ctx: PrecisionContext) -> int:
-    """Leading significant digits on which value agrees with the reference."""
+    """Leading significant digits on which value agrees with the reference,
+    at most ctx.digits: no comparison certifies more than the context carries."""
     with ctx.workprec():
         v = mpf(value)
         ref = mpf(reference)
@@ -58,21 +68,4 @@ def matching_digits(value, reference, ctx: PrecisionContext) -> int:
             return ctx.digits
         if ref == 0:
             return 0
-        return max(0, int(mp.floor(-mp.log10(abs(v - ref) / abs(ref)))))
-
-
-def stability_probe(computation: Callable[[PrecisionContext], mpf],
-                    ctx_hi: PrecisionContext,
-                    ctx_lo: PrecisionContext) -> int:
-    """Number of leading significant digits on which two replays agree.
-
-    ``computation`` must be a deterministic function of its context.  The
-    returned count is clamped to ctx_lo.digits: a replay can never certify
-    more digits than the lower precision carried.  Zero means the runs
-    disagree in the leading digit (or one run collapsed to zero).
-    """
-    if ctx_hi.digits <= ctx_lo.digits:
-        raise ValueError("ctx_hi must carry more digits than ctx_lo")
-    hi = computation(ctx_hi)
-    lo = computation(ctx_lo)
-    return min(matching_digits(lo, hi, ctx_hi), ctx_lo.digits)
+        return min(ctx.digits, max(0, int(mp.floor(-mp.log10(abs(v - ref) / abs(ref))))))

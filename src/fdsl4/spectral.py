@@ -33,7 +33,7 @@ from mpmath import mp, mpf
 from . import recursion
 from .corrections import (CorrectionTerm, FDSolution, assemble, base_pair, basis_values,
                           series_dot)
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, check_index
 from .problem import ProblemSpec
 from .rhs import add_base_term, build_rhs
 
@@ -86,10 +86,8 @@ def _exp_moments(re: int, im: int, n: int, T: int) -> list:
 def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
     """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t),
     with the point columns at X that the closure's u(X) = 0 condition pairs."""
-    if n < 1:
-        raise ValueError("eigenpair index must be >= 1")
-    if T < 0:
-        raise ValueError("highest power T must be >= 0")
+    n = check_index(n, 1, "eigenpair index must be >= 1")
+    T = check_index(T, 0, "highest power T must be >= 0")
     with ctx.workprec():
         X = mpf(X)
         if not 0 < X < mp.inf:
@@ -126,10 +124,8 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     power-0 closure, term assembly.  Steps are inherently sequential;
     different n are independent.
     """
-    if n < 1:
-        raise ValueError("eigenpair index must be >= 1")
-    if m < 0:
-        raise ValueError("rank must be >= 0")
+    n = check_index(n, 1, "eigenpair index must be >= 1")
+    m = check_index(m, 0, "rank must be >= 0")
     term0, lam0 = base_pair(spec, n, ctx)
     terms, lambdas = [term0], [lam0]
     # the highest power any step reads is M(m), in the last step's closure

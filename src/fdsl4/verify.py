@@ -50,7 +50,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_shift, round_nearest, to_int
 
 from .corrections import FDSolution, _derivative_arrays, combine_series, lambda_partials
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, check_index, matching_digits
 from .problem import ProblemSpec
 from .spectral import _exp_moments
 
@@ -279,7 +279,11 @@ def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
     2^-guard, so one retry is enough.  A pass certifying under one digit
     bounds nothing: its retry allows for the cancellation of all its bits
     again, which covers the square of a series that cancels to its last place.
+    A spec whose X is not the solution's at ctx's precision raises ValueError.
     """
+    if matching_digits(spec.X, sol.X, ctx) < ctx.digits:
+        raise ValueError(f"spec is for X = {mp.nstr(spec.X, 15)}, the solution "
+                         f"for X = {mp.nstr(sol.X, 15)}")
     series = _residual_series(sol, spec, ctx)
     with ctx.workprec():
         prec = mp.prec
@@ -299,11 +303,6 @@ def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
                                 "only %.1f digits", sol.n, sol.m, k, digits)
             deltas.append(mp.sqrt(abs(square)))
         return deltas
-
-
-def residual_norm(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) -> mpf:
-    """L2 norm of the operator applied to the rank-m approximation."""
-    return residual_sweep(sol, spec, ctx)[sol.m]
 
 
 # --- reference fixtures --------------------------------------------------------
@@ -476,8 +475,7 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     max |v| = 1, and the unshifted rows at the factors' scale 2^e, so the
     Rayleigh sums are exact and the quotient is rounded once.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = check_index(N, 1, "need N >= 1")
     rows = build_galerkin(spec, N, ctx)
     with ctx.workprec():
         shift = mpf(shift)

@@ -8,14 +8,15 @@ eigenvalue correction instead of the moment-table projection, the
 closed-form moment sums instead of the exponential-moment recurrences,
 sequential multiply-adds instead of one dot product per right-hand-side
 coefficient, Horner loops instead of one dot product per point value, the
-majorant-chain envelope of the eigenvalue corrections, an mpf Crout LU
-with one ``fdot`` per entry instead of the Galerkin oracle's scaled integers,
-and a residual integrand evaluated term by term at each node of a
-Gauss-Legendre rule instead of the exact integral of one residual series
-per rank.
+Catalan majorants and the majorant-chain envelope of the eigenvalue
+corrections, an mpf Crout LU with one ``fdot`` per entry instead of the
+Galerkin oracle's scaled integers, and a residual integrand evaluated term
+by term at each node of a Gauss-Legendre rule instead of the exact integral
+of one residual series per rank.
 """
 
 import itertools
+from math import comb
 
 from mpmath import mp, mpf
 
@@ -267,6 +268,17 @@ def x_potential_second_correction(n, ctx):
         pn = mp.pi * n
         return (1 / (32 * pn ** 4) - 5 / (32 * pn ** 6)
                 + (mp.cos(pn) - mp.cosh(pn)) / (2 * pn ** 7 * mp.sinh(pn)))
+
+
+def majorant(j: int) -> int:
+    """Exact integer majorant value for step j+1: (2j+2)!/((j+1)!(j+2)!).
+
+    These are the Catalan numbers; they solve the convolution recurrence
+    satisfied by the normalized correction norms.
+    """
+    if j < 0:
+        raise ValueError("step index must be >= 0")
+    return comb(2 * j + 2, j + 1) // (j + 2)
 
 
 def correction_envelope(report, j):

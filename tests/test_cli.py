@@ -200,6 +200,27 @@ def test_solve_certify_reports_digits(capsys):
     assert certified >= 35
 
 
+@pytest.mark.parametrize("problem,argv,certified", [
+    (B2, ("--n", "1,2,50", "--m", "10"), [150, 150, 115]),
+    (B2, ("--n", "1", "--m", "3", "--digits", "80"), [40]),
+    (B1, ("--n", "1", "--m", "20"), [104]),
+], ids=["benchmark2-rank10", "benchmark2-80digits", "benchmark1-rank20"])
+def test_solve_certify_solves_twice_per_index(capsys, monkeypatch, problem, argv, certified):
+    # one solve at the working precision and one replay at half of it; the
+    # replay is compared with the printed value, not with a third solve
+    calls, real = [], cli.solve
+
+    def counted(spec, n, m, ctx):
+        calls.append(n)
+        return real(spec, n, m, ctx)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    code, out, _ = run(capsys, "solve", "--problem", problem, *argv, "--certify")
+    assert code == 0
+    assert [int(line.rsplit("certified digits:", 1)[1]) for line in out.splitlines()] == certified
+    assert len(calls) == 2 * len(certified)
+
+
 def test_missing_problem_file(capsys):
     code, _, err = run(capsys, "solve", "--problem", "/nonexistent.cfg")
     assert code == 2

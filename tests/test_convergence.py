@@ -4,7 +4,8 @@ import pytest
 from mpmath import mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, convergence_report, problem
-from fdsl4.convergence import majorant
+
+from .oracles import majorant
 
 CTX = PrecisionContext(digits=60)
 

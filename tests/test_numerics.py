@@ -1,9 +1,16 @@
-"""Precision context and stability probe."""
+"""Precision context, replay certification and index checks."""
 
 import pytest
 from mpmath import mp, mpf
 
-from fdsl4 import PrecisionContext, stability_probe
+from fdsl4 import (PrecisionContext, assemble, base_pair, convergence_report,
+                   galerkin_nearest_eigenvalue, matching_digits, moments, solve)
+
+
+def _replay(computation, ctx_hi, ctx_lo):
+    """Digits on which a replay at ctx_lo agrees with the run at ctx_hi,
+    compared at ctx_lo, as ``fdsl4 solve --certify`` compares them."""
+    return matching_digits(computation(ctx_lo), computation(ctx_hi), ctx_lo)
 
 
 def test_digits_floor():
@@ -18,13 +25,13 @@ def test_probe_identical_computation():
         with c.workprec():
             return mp.exp(1)
 
-    agreement = stability_probe(exp1, hi, lo)
+    agreement = _replay(exp1, hi, lo)
     assert agreement >= 140
 
 
 def test_probe_constant():
     hi, lo = PrecisionContext(digits=300), PrecisionContext(digits=150)
-    assert stability_probe(lambda c: c.mpf(1), hi, lo) == 150
+    assert _replay(lambda c: c.mpf(1), hi, lo) == 150
 
 
 def test_probe_catastrophic_cancellation():
@@ -33,14 +40,8 @@ def test_probe_catastrophic_cancellation():
         with c.workprec():
             return (mpf(1) + mpf(10) ** -200) - 1
 
-    agreement = stability_probe(cancel, PrecisionContext(digits=300),
-                                PrecisionContext(digits=100))
+    agreement = _replay(cancel, PrecisionContext(digits=300), PrecisionContext(digits=100))
     assert agreement < 10
-
-
-def test_probe_requires_ordering():
-    with pytest.raises(ValueError):
-        stability_probe(lambda c: c.mpf(1), PrecisionContext(100), PrecisionContext(100))
 
 
 def test_double_precision_replay():
@@ -59,3 +60,39 @@ def test_double_precision_replay():
     v2 = chain(PrecisionContext(digits=240))
     with PrecisionContext(digits=240).workprec():
         assert abs(v1 - v2) < abs(v2) * mpf(10) ** -(120 - 10)
+
+
+CTX60 = PrecisionContext(digits=60)
+INDEX = "eigenpair index must be >= 1"
+RANK = "rank must be >= 0"
+# entry: (call with the index v, lowest valid index, message below it)
+ENTRIES = {
+    "base_pair": (lambda spec, v: base_pair(spec, v, CTX60), 1, INDEX),
+    "moments-n": (lambda spec, v: moments(v, spec.X, 4, CTX60), 1, INDEX),
+    "moments-T": (lambda spec, v: moments(1, spec.X, v, CTX60), 0, "highest power T must be >= 0"),
+    "solve-n": (lambda spec, v: solve(spec, v, 2, CTX60), 1, INDEX),
+    "solve-m": (lambda spec, v: solve(spec, 1, v, CTX60), 0, RANK),
+    "convergence_report": (lambda spec, v: convergence_report(spec, v, CTX60), 1, INDEX),
+    "assemble": (lambda spec, v: assemble(*_history(spec), v, CTX60), 0, RANK),
+    "galerkin_nearest_eigenvalue":
+        (lambda spec, v: galerkin_nearest_eigenvalue(spec, 98, v, CTX60), 1, "need N >= 1"),
+    "PrecisionContext":
+        (lambda spec, v: PrecisionContext(v), 30, "working precision must be at least 30 digits"),
+}
+
+
+def _history(spec):
+    sol = solve(spec, 1, 2, CTX60)
+    return sol.terms, (sol.lambda0,) + sol.lambda_corrections
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entries_take_integer_indices(benchmark2, entry):
+    # a float passes a bare bound check: unchecked, solve(benchmark2, 1.5, 2)
+    # returns 493.656... and PrecisionContext(30.5) is accepted
+    call, low, message = ENTRIES[entry]
+    with pytest.raises(TypeError):
+        call(benchmark2, low + 0.5)
+    with pytest.raises(ValueError, match=message):
+        call(benchmark2, low - 1)
+    call(benchmark2, low)

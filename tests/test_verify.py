@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_nearest_eigenvalue,
-                   load_fixtures, residual_norm, residual_sweep, solve, verify)
+                   load_fixtures, residual_sweep, solve, verify)
 from fdsl4.corrections import _derivative_arrays
 from fdsl4.numerics import matching_digits
 from fdsl4.problem import poly_eval
@@ -105,7 +105,7 @@ def test_residual_zero_potentials():
     spec = ProblemSpec.make(1, [0, 0], [0, 0], [0, 0], CTX)
     for m in (0, 3):
         sol = solve(spec, 2, m, CTX)
-        delta = residual_norm(sol, spec, CTX)
+        delta = residual_sweep(sol, spec, CTX)[m]
         with CTX.workprec():
             assert delta < mpf(10) ** -(CTX.digits - 20)
 
@@ -113,12 +113,12 @@ def test_residual_zero_potentials():
 def test_residual_x_potential_reference_values(x_potential):
     # 2-significant-figure reference residuals from a 300-digit run
     sol = solve(x_potential, 1, 10, CTX)
-    delta = residual_norm(sol, x_potential, CTX)
+    delta = residual_sweep(sol, x_potential, CTX)[10]
     with CTX.workprec():
         ref = mpf("2.8e-39")
         assert ref / 2 < delta < ref * 2
     sol = solve(x_potential, 5, 3, CTX)
-    delta = residual_norm(sol, x_potential, CTX)
+    delta = residual_sweep(sol, x_potential, CTX)[3]
     with CTX.workprec():
         ref = mpf("1.9e-17")
         assert ref / 2 < delta < ref * 2
@@ -130,8 +130,20 @@ def test_residual_sweep_is_consistent(x_potential):
     assert len(sweep) == 5
     with CTX.workprec():
         assert all(a > b for a, b in zip(sweep, sweep[1:]))
-        one = residual_norm(sol, x_potential, CTX)
-        assert abs(one - sweep[4]) <= abs(one) * mpf(10) ** -20
+        # rank 2 does not depend on the later terms
+        one = residual_sweep(solve(x_potential, 2, 2, CTX), x_potential, CTX)[-1]
+        assert abs(one - sweep[2]) <= abs(one) * mpf(10) ** -20
+
+
+def test_residual_sweep_rejects_a_foreign_spec(benchmark1, benchmark2):
+    # a benchmark-2 solution (X = 1) swept with benchmark 1's spec (X = 5)
+    # would give the residual of the wrong operator on the wrong interval
+    sol = solve(benchmark2, 1, 2, CTX)
+    with pytest.raises(ValueError, match="X = 5"):
+        residual_sweep(sol, benchmark1, CTX)
+    # the same interval parsed at another precision is the same interval
+    sol = solve(ProblemSpec.make("0.3", [0, 1], [0], [0], PrecisionContext(300)), 1, 2, CTX)
+    assert len(residual_sweep(sol, ProblemSpec.make("0.3", [0, 1], [0], [0], CTX), CTX)) == 3
 
 
 def _sized_specs(ctx):
@@ -266,6 +278,8 @@ def test_matching_digits():
     assert matching_digits("1.234567", "1.234567", CTX50) == 50
     assert matching_digits("1.2345678", "1.2345699", CTX50) in (5, 6)
     assert matching_digits("2.0", "1.0", CTX50) == 0
+    # agreement to 55 digits certifies no more than the 50 the context carries
+    assert matching_digits("1." + "0" * 54 + "1", "1", CTX50) == 50
 
 
 def test_galerkin_diagonal_for_zero_potentials():

@@ -19,7 +19,10 @@ script inside that revision's checkout::
     python tools/compare_cases.py --out new.json --against old.json
 
 With ``--against`` it prints, per quantity, how many entries are
-bit-identical and the worst relative difference.
+bit-identical and the worst relative difference.  A correction lambda^(j)
+can be exactly 0 on one side and a rounding-level value on the other, so
+its differences are divided by the case's |lambda| instead of by their own
+size.
 """
 
 from __future__ import annotations
@@ -95,36 +98,42 @@ def value(text: str) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
-def rel_diff(a: str, b: str) -> Fraction:
+def rel_diff(a: str, b: str, scale: str | None) -> Fraction:
+    """|a - b| over |scale|, or over the larger of |a| and |b| without one."""
     x, y = value(a), value(b)
-    return abs(x - y) / max(abs(x), abs(y)) if x != y else Fraction(0)
+    if x == y:
+        return Fraction(0)
+    return abs(x - y) / (abs(value(scale)) if scale else max(abs(x), abs(y)))
 
 
 def pairs(new: dict, old: dict):
-    """(quantity, new entry, old entry) over both records, in case order."""
+    """(quantity, new entry, old entry, scale) over both records, in case
+    order; the scale is the case's lambda for lambda_j, else None."""
     for name, case in new["cases"].items():
         ref = old["cases"][name]
-        yield "lambda", case["lambda"], ref["lambda"]
-        yield "omega", case["omega"], ref["omega"]
+        yield "lambda", case["lambda"], ref["lambda"], None
+        yield "omega", case["omega"], ref["omega"], None
         for quantity in ("lambda_j", "terms", "u_values"):
             if len(case[quantity]) != len(ref[quantity]):
                 raise ValueError(f"{name}: {quantity} lengths differ")
+            scale = case["lambda"] if quantity == "lambda_j" else None
             for a, b in zip(case[quantity], ref[quantity]):
-                yield quantity, a, b
+                yield quantity, a, b, scale
     for name, sweep in new["sweeps"].items():
         for a, b in zip(sweep, old["sweeps"][name], strict=True):
-            yield "residuals", a, b
+            yield "residuals", a, b, None
 
 
 def compare(new: dict, old: dict) -> None:
     stats = {}
-    for quantity, a, b in pairs(new, old):
+    for quantity, a, b, scale in pairs(new, old):
         same, total, worst = stats.get(quantity, (0, 0, Fraction(0)))
-        diff = Fraction(0) if quantity == "terms" or a == b else rel_diff(a, b)
+        diff = Fraction(0) if quantity == "terms" else rel_diff(a, b, scale)
         stats[quantity] = (same + (a == b), total + 1, max(worst, diff))
     for quantity, (same, total, worst) in stats.items():
+        label = "difference / |lambda|" if quantity == "lambda_j" else "relative difference"
         print(f"{quantity:10} {same:5}/{total:<5} bit-identical, "
-              f"worst relative difference {mp.nstr(mp.fdiv(worst.numerator, worst.denominator), 3)}")
+              f"worst {label} {mp.nstr(mp.fdiv(worst.numerator, worst.denominator), 3)}")
 
 
 def main(argv=None) -> int:
