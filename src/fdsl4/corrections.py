@@ -253,24 +253,16 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
 
 
 def solution_from_payload(payload: dict) -> FDSolution:
+    """The solution a payload records, built through :func:`assemble`, which
+    checks its terms and eigenvalue entries against its rank and forms the
+    eigenvalue sum again."""
     if payload.get("format") != "fdsl4-solution":
         raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
         X = mpf(payload["X"])
-        n = payload["n"]
-        terms = tuple(
-            CorrectionTerm(j=tp["j"], n=n, X=X,
-                           a=tuple(mpf(s) for s in tp["a"]),
-                           b=tuple(mpf(s) for s in tp["b"]),
-                           c=tuple(mpf(s) for s in tp["c"]),
-                           d=tuple(mpf(s) for s in tp["d"]))
-            for tp in payload["terms"]
-        )
-        return FDSolution(
-            n=n, m=payload["m"], X=X,
-            lambda0=mpf(payload["lambda0"]),
-            lambda_corrections=tuple(mpf(s) for s in payload["lambda_corrections"]),
-            terms=terms,
-            lambda_approx=mpf(payload["lambda_approx"]),
-        )
+        terms = [CorrectionTerm(j=tp["j"], n=payload["n"], X=X,
+                                **{f: tuple(map(mpf, tp[f])) for f in "abcd"})
+                 for tp in payload["terms"]]
+        lambdas = [mpf(s) for s in [payload["lambda0"], *payload["lambda_corrections"]]]
+    return assemble(terms, lambdas, payload["m"], ctx)

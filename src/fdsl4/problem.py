@@ -46,14 +46,6 @@ class ProblemFormatError(ValueError):
         super().__init__(where + message)
 
 
-def poly_eval(coeffs: Sequence, x) -> mpf:
-    """Horner evaluation at the current working precision."""
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _rational(c) -> Fraction:
     """c exactly, at any working precision: a binary mpf is a ratio of integers."""
     return Fraction(*to_rational(c._mpf_)) if isinstance(c, mpf) else Fraction(c)
@@ -117,7 +109,7 @@ def sup_norm(p: Sequence, X, ctx: PrecisionContext) -> mpf:
         p = [_rational(c) for c in p]
         values = [mp.fdiv(c.numerator, c.denominator) for c in p]
         points = [mpf(0), X] + [x for x in map(mp.re, _critical_points(p)) if 0 <= x <= X]
-        return max(abs(poly_eval(values, x)) for x in points)
+        return max(abs(mp.polyval(values[::-1], x)) for x in points)
 
 
 @dataclass(frozen=True)

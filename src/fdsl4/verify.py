@@ -22,8 +22,10 @@ instruments:
 
 * a sine-basis Galerkin discretization of the operator whose nearest
   eigenvalue to a shift is found by LU-based inverse iteration.  The matrix
-  entries reduce to closed-form integrals of x^l sin/cos products, so the
-  oracle shares no code path with the correction recursion.
+  entries reduce to integrals of x^l sin/cos products from the moment kernel
+  the solve and the residual share.  No code is shared with the correction
+  recursion (right-hand side, recurrences, closure), and the eigenvalue
+  comes from another method.
 
 Every float sum is the solver's own primitive, one exactly rounded dot
 product (``mp.fdot``): a residual coefficient, a residual integral and a
@@ -33,7 +35,7 @@ below it: the residual's polynomial products, each family at its own
 exponent, and the oracle's dense algebra, where the shifted matrix shares
 one.  Each L or U entry of the left-looking LU and each row of the
 triangular solves is an exact integer dot product rounded once, and the
-Rayleigh sums are exact, with one rounding at the division.
+Rayleigh quotient comes from the solve's own sums, exact up to the division.
 """
 
 from __future__ import annotations
@@ -320,8 +322,9 @@ class FixtureSet:
 @lru_cache(maxsize=1)
 def load_fixtures() -> FixtureSet:
     text = resources.files("fdsl4").joinpath("data/reference_values.txt").read_text()
+    tables = {name: {} for name in ("benchmark1.exact", "benchmark1.fd_error",
+                                    "benchmark2.rank10", "benchmark2.residual")}
     section = None
-    b1_exact, b1_err, b2_lam, b2_res = {}, {}, {}, {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -329,19 +332,12 @@ def load_fixtures() -> FixtureSet:
         if line.startswith("["):
             section = line.strip("[]")
             continue
-        parts = line.split()
-        if section == "benchmark1.exact":
-            b1_exact[int(parts[0])] = parts[1]
-        elif section == "benchmark1.fd_error":
-            b1_err[(int(parts[0]), int(parts[1]))] = parts[2]
-        elif section == "benchmark2.rank10":
-            b2_lam[int(parts[0])] = parts[1]
-        elif section == "benchmark2.residual":
-            b2_res[(int(parts[0]), int(parts[1]))] = parts[2]
-        else:
+        if section not in tables:
             raise ValueError(f"unexpected data line outside a known section: {raw!r}")
-    return FixtureSet(b1_exact=b1_exact, b1_fd_error=b1_err,
-                      b2_rank10=b2_lam, b2_residual=b2_res)
+        *key, value = line.split()
+        key = tuple(map(int, key))
+        tables[section][key[0] if len(key) == 1 else key] = value
+    return FixtureSet(*tables.values())
 
 
 # --- sine-Galerkin oracle -------------------------------------------------------
@@ -350,23 +346,17 @@ MAX_INVERSE_ITERATIONS = 60
 
 
 def _sine_cosine_integrals(X, max_power: int, max_freq: int, ctx: PrecisionContext):
-    """I_s[l][k] = int x^l sin(k pi x/X), I_c[l][k] = int x^l cos(k pi x/X)."""
+    """I_s[l][k] = int x^l sin(k pi x/X), I_c[l][k] = int x^l cos(k pi x/X) over
+    [0, X]: I_c + i I_s = X^(l+1) K_l(i k pi) from the solve's moment kernel
+    :func:`~fdsl4.spectral._exp_moments`, and X^(l+1) / (l+1) at k = 0, where
+    the kernel would divide by Z = 0."""
     with ctx.workprec():
         X = mpf(X)
-        I_s = [[mpf(0)] * (max_freq + 1) for _ in range(max_power + 1)]
-        I_c = [[mpf(0)] * (max_freq + 1) for _ in range(max_power + 1)]
-        for l in range(max_power + 1):
-            I_c[l][0] = X ** (l + 1) / (l + 1)
-        for k in range(1, max_freq + 1):
-            nu = k * mp.pi / X
-            cos_k = mpf(-1) ** k
-            for l in range(max_power + 1):
-                if l == 0:
-                    I_s[0][k] = (1 - cos_k) / nu
-                    I_c[0][k] = mpf(0)
-                else:
-                    I_s[l][k] = -X ** l * cos_k / nu + l / nu * I_c[l - 1][k]
-                    I_c[l][k] = -(l / nu) * I_s[l - 1][k]
+        powers = [X ** (l + 1) for l in range(max_power + 1)]
+        columns = [_exp_moments(0, 1, k, max_power) for k in range(1, max_freq + 1)]
+        I_s = [[mpf(0)] + [xp * K[l].imag for K in columns] for l, xp in enumerate(powers)]
+        I_c = [[xp / (l + 1)] + [xp * K[l].real for K in columns]
+               for l, xp in enumerate(powers)]
         return I_s, I_c
 
 
@@ -377,7 +367,7 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
     Entry (p, q) is delta_pq w_p^4 plus (2/X) times the sum over powers l of
     (q0_l - w_p^2 q2_l) int x^l sin_p sin_q + w_p q1_l int x^l cos_p sin_q:
     one exactly rounded dot product of the weights and their negatives with
-    the closed-form integrals of x^l cos and x^l sin at |p - q| and p + q.
+    the integrals of x^l cos and x^l sin at |p - q| and p + q.
     """
     with ctx.workprec():
         X = spec.X
@@ -472,8 +462,9 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     repeated solves; the Rayleigh quotient of the iterate is returned once
     two in a row agree to ctx.eps relative.  Raises OracleConvergenceError
     otherwise.  The iterate v is kept as integers v * 2^bits with
-    max |v| = 1, and the unshifted rows at the factors' scale 2^e, so the
-    Rayleigh sums are exact and the quotient is rounded once.
+    max |v| = 1.  The solve (A - shift I) y = v gives the quotient without
+    another product with A: R(y) = shift + y.v / y.y, exact integer sums
+    with one rounding at the division and one at the shift.
     """
     N = check_index(N, 1, "need N >= 1")
     rows = build_galerkin(spec, N, ctx)
@@ -491,21 +482,19 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
         else:
             raise OracleConvergenceError(
                 "shifted matrix stayed singular after perturbing the shift")
-        a = [[_fixed(v, e) for v in row] for row in rows]
-        v = [1 << bits] * N
+        y = [1] * N
         ritz_prev, reltol = None, ctx.eps
         for _ in range(MAX_INVERSE_ITERATIONS):
-            y = _lu_solve(lu, piv, v, bits)
-            norm = max(map(abs, y))
-            v = [(c << bits) // norm for c in y]
-            av = [sum(map(mul, row, v)) for row in a]
-            vv = sum(map(mul, v, v))
-            ritz = mp.ldexp(mp.fdiv(sum(map(mul, av, v)), vv), e)
+            top = max(map(abs, y))
+            v = [(c << bits) // top for c in y]
+            y = _lu_solve(lu, piv, v, bits)   # y * 2^(e + 2 bits)
+            yy = sum(map(mul, y, y))
+            ritz = shift + mp.ldexp(mp.fdiv(sum(map(mul, y, v)), yy), e + bits)
             if ritz_prev is not None and abs(ritz - ritz_prev) <= reltol * abs(ritz):
                 return ritz
             ritz_prev = ritz
-        res = [mp.ldexp(p, e - bits) - ritz * mp.ldexp(c, -bits) for p, c in zip(av, v)]
+        # A y - R y = v - (R - shift) y, both sides times 2^(e + 2 bits)
+        res = [mp.ldexp(p, e + bits) - (ritz - shift) * c for p, c in zip(v, y)]
         raise OracleConvergenceError(
             f"inverse iteration did not settle after {MAX_INVERSE_ITERATIONS} iterations; "
-            f"last Rayleigh residual "
-            f"{mp.nstr(mp.sqrt(mp.fdot(res, res) / mp.ldexp(vv, -2 * bits)), 5)}")
+            f"last Rayleigh residual {mp.nstr(mp.sqrt(mp.fdot(res, res) / yy), 5)}")

@@ -1,18 +1,18 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the production code paths they check: naive
-summation instead of Horner, the literal multi-index product expansion of the
-coefficient recurrence in the paper's 2x2 matrix form instead of the scalar
-walks, the scalar power-matching relations instead of the walks, a closed-form
-eigenvalue correction instead of the moment-table projection, the
-closed-form moment sums instead of the exponential-moment recurrences,
-sequential multiply-adds instead of one dot product per right-hand-side
-coefficient, Horner loops instead of one dot product per point value, the
-Catalan majorants and the majorant-chain envelope of the eigenvalue
-corrections, an mpf Crout LU with one ``fdot`` per entry instead of the
-Galerkin oracle's scaled integers, and a residual integrand evaluated term
-by term at each node of a Gauss-Legendre rule instead of the exact integral
-of one residual series per rank.
+These deliberately avoid the production code paths they check: the literal
+multi-index product expansion of the coefficient recurrence in the paper's
+2x2 matrix form instead of the scalar walks, the scalar power-matching
+relations instead of the walks, a closed-form eigenvalue correction instead
+of the moment-table projection, the closed-form moment sums instead of the
+exponential-moment recurrences, sequential multiply-adds instead of one dot
+product per right-hand-side coefficient, Horner loops instead of one dot
+product per point value, the Catalan majorants and the majorant-chain
+envelope of the eigenvalue corrections, an mpf Crout LU with one ``fdot`` per
+entry instead of the Galerkin oracle's scaled integers, a residual integrand
+evaluated term by term at each node of a Gauss-Legendre rule instead of the
+exact integral of one residual series per rank, and Gauss-Legendre sums of
+x^l sin and x^l cos instead of the Galerkin integrals from the moment kernel.
 """
 
 import itertools
@@ -22,16 +22,10 @@ from mpmath import mp, mpf
 
 from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values, lambda_partials,
                                series_dot)
-from fdsl4.problem import poly_eval
 from fdsl4.spectral import MomentTable
 from fdsl4.verify import QuadratureRule
 
 NODES_PER_PANEL = 20
-
-
-def naive_poly_eval(coeffs, x):
-    """Term-by-term power sum, no Horner."""
-    return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
 def horner_series(arrays, x, basis):
@@ -432,6 +426,24 @@ def fdot_nearest_eigenvalue(rows, shift, ctx, max_iter=60):
         raise RuntimeError("reference inverse iteration did not settle")
 
 
+def quadrature_sine_cosine_integrals(X, max_power, freqs, panels, ctx):
+    """{(l, k): (int x^l sin(k pi x/X), int x^l cos(k pi x/X))} over [0, X]
+    for l = 0..max_power and k in ``freqs``, from a composite Gauss-Legendre
+    rule of ``panels`` NODES_PER_PANEL-node panels with sin and cos taken at
+    each node."""
+    with ctx.workprec():
+        X = mpf(X)
+        rule = QuadratureRule.build(X, panels, NODES_PER_PANEL, ctx)
+        weighted = [[w * x ** l for x, w in zip(rule.nodes, rule.weights)]
+                    for l in range(max_power + 1)]
+        out = {}
+        for k in freqs:
+            cos, sin = zip(*(mp.cos_sin(k * mp.pi * x / X) for x in rule.nodes))
+            for l, wl in enumerate(weighted):
+                out[l, k] = (mp.fdot(wl, sin), mp.fdot(wl, cos))
+        return out
+
+
 def pointwise_residual_integrals(sol, spec, panels, ctx):
     """Integral of the squared residual for every rank 0..m, node by node.
 
@@ -451,7 +463,7 @@ def pointwise_residual_integrals(sol, spec, panels, ctx):
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):
             columns = basis_values(sol.n, sol.X, x, top, ctx)
-            q0x, q1x, q2x = (poly_eval(q, x) for q in (spec.q0, spec.q1, spec.q2))
+            q0x, q1x, q2x = (mp.polyval(q[::-1], x) for q in (spec.q0, spec.q1, spec.q2))
             op_sum = val_sum = mpf(0)
             for k, u in enumerate(arrays):
                 u0 = series_dot(u[0], columns)

@@ -205,6 +205,15 @@ def test_payload_with_mismatched_term_rejected(x_solution):
         solution_from_payload(payload)
 
 
+def test_payload_short_of_its_rank_rejected(x_solution):
+    # rank 6 with 4 terms and 3 corrections used to load as a rank-6 solution
+    payload = solution_to_payload(x_solution, CTX)
+    payload["terms"] = payload["terms"][:4]
+    payload["lambda_corrections"] = payload["lambda_corrections"][:3]
+    with pytest.raises(ValueError, match="need 7 terms and eigenvalue entries for rank 6"):
+        solution_from_payload(payload)
+
+
 def test_payload_with_other_format_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["format"] = "something-else"

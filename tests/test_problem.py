@@ -1,16 +1,12 @@
-"""Polynomial evaluation, sup norms, size constants, config parsing."""
+"""Sup norms, size constants, config parsing."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, omega, parse_problem
-from fdsl4.problem import ProblemFormatError, poly_eval, sup_norm
-
-from .oracles import naive_poly_eval
+from fdsl4.problem import ProblemFormatError, sup_norm
 
 CTX = PrecisionContext(digits=60)
 
@@ -18,25 +14,6 @@ CTX = PrecisionContext(digits=60)
 def P(*coeffs, ctx=CTX):
     with ctx.workprec():
         return tuple(mpf(c) for c in coeffs)
-
-
-def test_poly_eval_identity():
-    with CTX.workprec():
-        assert poly_eval(P(0, 1), mpf("0.5")) == mpf("0.5")
-
-
-def test_poly_eval_benchmark1_origin(benchmark1):
-    with CTX.workprec():
-        assert poly_eval(benchmark1.q0, mpf(0)) == mpf("-0.02")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=5))
-def test_poly_eval_matches_naive_sum(ints):
-    p = P(*ints)
-    with CTX.workprec():
-        x = mpf(2)
-        assert abs(poly_eval(p, x) - naive_poly_eval(p, x)) < mpf(10) ** -45
 
 
 def test_sup_norm_quadratic_benchmark1(benchmark1):
@@ -94,7 +71,7 @@ def test_sup_norm_dominates_samples():
         bound = sup_norm(p, X, CTX) * (1 + mpf(10) ** -12)
         for _ in range(1000):
             x = X * mpf(rng.random())
-            assert abs(poly_eval(p, x)) <= bound
+            assert abs(mp.polyval(p[::-1], x)) <= bound
 
 
 def test_omega_benchmark1(benchmark1):

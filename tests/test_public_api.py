@@ -1,5 +1,6 @@
 """Public names: everything exported resolves, the demos import only live names,
-and no library module keeps an import it does not use.
+no library module keeps an import it does not use, and no private helper
+lacks a caller.
 
 The demos are not run by the suite, so their imports are read with ``ast``.
 """
@@ -107,3 +108,36 @@ def test_no_unused_imports():
     modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def _private_definitions(statement):
+    """Private top-level names a module statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = getattr(statement, "targets", None) or [statement.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _read_names(statement):
+    """Names a statement reads, bare or as a module attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def test_private_helpers_have_callers():
+    # a private function, class or constant is read somewhere in the package
+    # outside its own definition, so a helper that loses its callers goes too
+    package = Path(fdsl4.__file__).resolve().parent
+    statements = [(path.name, s) for path in sorted(package.glob("*.py"))
+                  for s in ast.parse(path.read_text(encoding="utf-8")).body]
+    private = [(module, name, s) for module, s in statements
+               for name in _private_definitions(s)]
+    assert len(private) >= 20
+    reads = [(s, _read_names(s)) for _, s in statements]
+    assert [f"{module}: {name}" for module, name, s in private
+            if not any(name in names for other, names in reads if other is not s)] == []

@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
                    eval_term, lambda_correction, moments, solve)
-from fdsl4.problem import poly_eval
 from fdsl4.rhs import MissingHistoryError, add_base_term, build_rhs
 
 from .conftest import eval_series, step_rhs
@@ -72,9 +71,9 @@ def _pointwise_rhs(spec, j, terms, lambdas, x):
         for p in range(j + 1):
             total += lambdas[j + 1 - p] * eval_term(terms[p], x, ctx=CTX)
         term = terms[j]
-        total -= poly_eval(spec.q2, x) * eval_term(term, x, 2, ctx=CTX)
-        total -= poly_eval(spec.q1, x) * eval_term(term, x, 1, ctx=CTX)
-        total -= poly_eval(spec.q0, x) * eval_term(term, x, 0, ctx=CTX)
+        total -= mp.polyval(spec.q2[::-1], x) * eval_term(term, x, 2, ctx=CTX)
+        total -= mp.polyval(spec.q1[::-1], x) * eval_term(term, x, 1, ctx=CTX)
+        total -= mp.polyval(spec.q0[::-1], x) * eval_term(term, x, 0, ctx=CTX)
         return total
 
 

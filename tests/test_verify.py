@@ -11,10 +11,10 @@ from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, galerkin_neare
                    load_fixtures, residual_sweep, solve, verify)
 from fdsl4.corrections import _derivative_arrays
 from fdsl4.numerics import matching_digits
-from fdsl4.problem import poly_eval
 from fdsl4.verify import _fixed, _lu_factor, _lu_solve, build_galerkin
 
-from .oracles import fdot_nearest_eigenvalue, pointwise_residual_integrals
+from .oracles import (fdot_nearest_eigenvalue, pointwise_residual_integrals,
+                      quadrature_sine_cosine_integrals)
 
 CTX = PrecisionContext(digits=120)
 CTX50 = PrecisionContext(digits=50)
@@ -65,7 +65,7 @@ def test_adaptive_integration_flags_convergence():
         def phi(x):
             sin_wx, cos_wx = mp.sin(w * x), mp.cos(w * x)
             sinh_wx, cosh_wx = mp.sinh(w * x), mp.cosh(w * x)
-            return sum(poly_eval(f, x) * v for f, v in
+            return sum(mp.polyval(f[::-1], x) * v for f, v in
                        zip(R, (sin_wx, cos_wx, sinh_wx, cosh_wx)))
 
         # 64 twenty-node panels are good to about 1e-92 here, 16 only to 1e-68
@@ -274,6 +274,23 @@ def test_fixture_tables_complete():
     assert fx.b1_exact[3].startswith("13.21535154")
 
 
+def test_fixture_line_outside_a_section_raises(tmp_path, monkeypatch):
+    # a data line before any section header, and one under an unknown header
+    data = tmp_path / "data" / "reference_values.txt"
+    data.parent.mkdir()
+    monkeypatch.setattr(verify.resources, "files", lambda _: tmp_path)
+    load_fixtures.cache_clear()
+    try:
+        for text in ("1 2.5\n", "[benchmark1.exact]\n1 2.5\n[other]\n3 4.5\n"):
+            data.write_text(text)
+            with pytest.raises(ValueError, match="outside a known section"):
+                load_fixtures()
+    finally:
+        monkeypatch.undo()
+        load_fixtures.cache_clear()
+    assert load_fixtures().b1_exact[3].startswith("13.21535154")
+
+
 def test_matching_digits():
     assert matching_digits("1.234567", "1.234567", CTX50) == 50
     assert matching_digits("1.2345678", "1.2345699", CTX50) in (5, 6)
@@ -309,13 +326,25 @@ def test_galerkin_entries_match_quadrature(benchmark1):
                 wq = q * mp.pi / X
 
                 def integrand(x):
-                    q0, q1, q2 = (poly_eval(c, x) for c in
+                    q0, q1, q2 = (mp.polyval(c[::-1], x) for c in
                                   (benchmark1.q0, benchmark1.q1, benchmark1.q2))
                     return 2 / X * ((q0 - wp ** 2 * q2) * mp.sin(wp * x)
                                     + wp * q1 * mp.cos(wp * x)) * mp.sin(wq * x)
 
                 want = rule.integrate(integrand, CTX50) + (wp ** 4 if p == q else 0)
                 assert abs(rows[p - 1][q - 1] - want) <= mpf(10) ** -40 * max(1, abs(want))
+
+
+def test_sine_cosine_integrals_match_quadrature():
+    # the kernel-built columns at both ends of the N = 200 range, k = 0 (closed
+    # form), 1, 2, 2N - 1 and 2N, against 400 twenty-node panels (about 1e-55)
+    N, X, freqs = 200, 5, (0, 1, 2, 399, 400)
+    I_s, I_c = verify._sine_cosine_integrals(X, 4, 2 * N, CTX50)
+    want = quadrature_sine_cosine_integrals(X, 4, freqs, 400, CTX50)
+    with CTX50.workprec():
+        for (l, k), (s, c) in want.items():
+            tol = mpf(X) ** (l + 1) * mpf(10) ** -50
+            assert abs(I_s[l][k] - s) <= tol and abs(I_c[l][k] - c) <= tol, (l, k)
 
 
 def test_galerkin_zero_potentials_inverse_iteration():
