@@ -63,7 +63,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, help="problem config file")
     p.add_argument("--n", type=_parse_n_list, default=[1],
                    help="comma-separated eigenpair indices (default 1)")
-    p.add_argument("--digits", type=int, default=300,
+    p.add_argument("--digits", type=_int_at_least(30), default=300,
                    help="working precision in decimal digits (default 300)")
     p.add_argument("--print-digits", type=_int_at_least(1), default=DEFAULT_PRINT_DIGITS,
                    help="digits shown in output (default 50)")
@@ -204,11 +204,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors (status 2) and --help (0)
         return exc.code
-    try:
-        ctx = PrecisionContext(digits=args.digits)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = PrecisionContext(digits=args.digits)
     try:
         spec = load_problem(args.problem, ctx)
     except ProblemFormatError as exc:

@@ -29,10 +29,7 @@ class ConvergenceReport:
     M_n: mpf
     r_n: mpf
     converges: bool  # sufficient condition r_n < 1
-    digits: int
-
-    def _ctx(self) -> PrecisionContext:
-        return PrecisionContext(digits=self.digits)
+    ctx: PrecisionContext
 
     def lambda_bound(self, m: int):
         """A-priori bound on |lambda_n - rank-m eigenvalue|, or None.
@@ -42,8 +39,7 @@ class ConvergenceReport:
         """
         if not self.converges or m < 1:
             return None
-        ctx = self._ctx()
-        with ctx.workprec():
+        with self.ctx.workprec():
             w = mp.pi * self.n / self.X
             front = self.omega * mp.sqrt(2 / self.X) * (w ** 2 + w + 1)
             return front * self.r_n ** m / ((1 - self.r_n) * (m + 1) * mp.sqrt(mp.pi * m))
@@ -52,8 +48,7 @@ class ConvergenceReport:
         """A-priori bound on the L2 eigenfunction error, or None."""
         if not self.converges or m < 1:
             return None
-        ctx = self._ctx()
-        with ctx.workprec():
+        with self.ctx.workprec():
             return self.r_n ** (m + 1) / ((m + 2) * mp.sqrt(mp.pi * (m + 1)))
 
 
@@ -71,4 +66,4 @@ def convergence_report(spec: ProblemSpec, n: int, ctx: PrecisionContext) -> Conv
             * max(mpf(1), 2 / X)
         rn = 4 * Mn
         return ConvergenceReport(n=n, X=spec.X, omega=om, M_n=Mn, r_n=rn,
-                                 converges=bool(rn < 1), digits=ctx.digits)
+                                 converges=bool(rn < 1), ctx=ctx)

@@ -254,10 +254,13 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
 
 def solution_from_payload(payload: dict) -> FDSolution:
     """The solution a payload records, built through :func:`assemble`, which
-    checks its terms and eigenvalue entries against its rank and forms the
-    eigenvalue sum again."""
+    refuses a payload short of its rank and forms the eigenvalue sum again;
+    one with more terms or corrections than its rank holds is refused here."""
     if payload.get("format") != "fdsl4-solution":
         raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
+    m, ranks = payload["m"], (len(payload["terms"]) - 1, len(payload["lambda_corrections"]))
+    if max(ranks) > m:
+        raise ValueError(f"rank {m} payload holds {ranks[0] + 1} terms and {ranks[1]} corrections")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
         X = mpf(payload["X"])

@@ -104,8 +104,6 @@ def sup_norm(p: Sequence, X, ctx: PrecisionContext) -> mpf:
     """
     with ctx.workprec():
         X = mpf(X)
-        if X <= 0:
-            raise ValueError("interval length must be positive")
         p = [_rational(c) for c in p]
         values = [mp.fdiv(c.numerator, c.denominator) for c in p]
         points = [mpf(0), X] + [x for x in map(mp.re, _critical_points(p)) if 0 <= x <= X]

@@ -30,22 +30,15 @@ from .numerics import PrecisionContext
 from .problem import ProblemSpec
 
 
-class MissingHistoryError(RuntimeError):
-    """Raised when rhs assembly lacks the required earlier steps."""
-
-
 def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
               ctx: PrecisionContext) -> tuple:
     """Arrays (f_sin, f_cos, f_sinh, f_cosh) of F for step j+1, without the
     lambda^(j+1) u^(0) summand.
 
-    ``terms`` must hold the corrections for steps 0..j and ``lambdas`` the
-    eigenvalue values for steps 0..j (base first); later entries are ignored.
+    ``terms`` and ``lambdas`` hold the corrections and eigenvalue values of
+    steps 0..j (base first), as ``solve`` passes them; later entries are
+    ignored, and a missing one that the step reads raises IndexError.
     """
-    if len(terms) < j + 1 or len(lambdas) < j + 1:
-        raise MissingHistoryError(
-            f"step {j + 1} needs terms and eigenvalue entries 0..{j}; "
-            f"have {len(terms)} terms, {len(lambdas)} eigenvalues")
     M1, M0 = spec.M(j + 1), spec.M(j)
     with ctx.workprec():
         w = mp.pi * n / spec.X

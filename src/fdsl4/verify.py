@@ -34,8 +34,9 @@ binary exponent set by the largest entry, with mp.prec + GUARD_BITS bits
 below it: the residual's polynomial products, each family at its own
 exponent, and the oracle's dense algebra, where the shifted matrix shares
 one.  Each L or U entry of the left-looking LU and each row of the
-triangular solves is an exact integer dot product rounded once, and the
-Rayleigh quotient comes from the solve's own sums, exact up to the division.
+triangular solves is an exact integer dot product rounded once, an exactly
+zero pivot is one unit of the scale, and the Rayleigh quotient comes from
+the solve's own sums, exact up to the division.
 """
 
 from __future__ import annotations
@@ -405,8 +406,9 @@ def _lu_factor(rows, ctx: PrecisionContext):
     L and then row k of U from the finished rows and columns.  Each entry is
     the matrix entry it corrects minus one exact integer dot product shifted
     down by ``bits``, so it is rounded once; an L entry is then one floor
-    division by the pivot.  Returns the packed integer factors, the row
-    order, e and bits.
+    division by the pivot, and an exactly zero pivot is one unit 2^e, as in
+    EISPACK's INVIT (Wilkinson & Reinsch, Handbook II, 1971).  Returns the
+    packed integer factors, the row order, e and bits.
     """
     with ctx.workprec():
         bits = mp.prec + GUARD_BITS
@@ -420,12 +422,10 @@ def _lu_factor(rows, ctx: PrecisionContext):
             row = lu[i]
             row[k] -= sum(map(mul, row[:k], u_cols[k])) >> bits
         pivot = max(range(k, n), key=lambda i: abs(lu[i][k]))
-        if lu[pivot][k] == 0:
-            raise ZeroDivisionError("singular shifted matrix; perturb the shift")
         if pivot != k:
             lu[k], lu[pivot] = lu[pivot], lu[k]
             piv[k], piv[pivot] = piv[pivot], piv[k]
-        u_kk = lu[k][k]
+        u_kk = lu[k][k] = lu[k][k] or 1
         for i in range(k + 1, n):
             lu[i][k] = (lu[i][k] << bits) // u_kk
         row_k, l_k = lu[k], lu[k][:k]
@@ -458,30 +458,21 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
                                 ctx: PrecisionContext) -> mpf:
     """Eigenvalue of the sine-Galerkin matrix nearest the shift.
 
-    Shifted inverse iteration: one LU factorization of (A - shift I), then
+    Shifted inverse iteration: one LU factorization of (A - shift I), a
+    shift on an eigenvalue included (:func:`_lu_factor`'s unit pivot), then
     repeated solves; the Rayleigh quotient of the iterate is returned once
-    two in a row agree to ctx.eps relative.  Raises OracleConvergenceError
-    otherwise.  The iterate v is kept as integers v * 2^bits with
-    max |v| = 1.  The solve (A - shift I) y = v gives the quotient without
-    another product with A: R(y) = shift + y.v / y.y, exact integer sums
-    with one rounding at the division and one at the shift.
+    two in a row agree to ctx.eps relative, and OracleConvergenceError is
+    raised if it does not settle.  The iterate v is kept as integers
+    v * 2^bits with max |v| = 1.  The solve (A - shift I) y = v gives the
+    quotient without another product with A: R(y) = shift + y.v / y.y,
+    exact integer sums with one rounding at the division and one at the shift.
     """
     N = check_index(N, 1, "need N >= 1")
     rows = build_galerkin(spec, N, ctx)
     with ctx.workprec():
         shift = mpf(shift)
-        for _ in range(3):
-            shifted = [[v - shift if i == j else v for j, v in enumerate(row)]
-                       for i, row in enumerate(rows)]
-            try:
-                lu, piv, e, bits = _lu_factor(shifted, ctx)
-                break
-            except ZeroDivisionError:
-                # shift sits exactly on an oracle eigenvalue; nudge it
-                shift *= 1 + mpf(10) ** (-ctx.digits // 2)
-        else:
-            raise OracleConvergenceError(
-                "shifted matrix stayed singular after perturbing the shift")
+        lu, piv, e, bits = _lu_factor([[v - shift if i == j else v for j, v in enumerate(row)]
+                                       for i, row in enumerate(rows)], ctx)
         y = [1] * N
         ritz_prev, reltol = None, ctx.eps
         for _ in range(MAX_INVERSE_ITERATIONS):

@@ -277,8 +277,7 @@ def majorant(j: int) -> int:
 
 def correction_envelope(report, j):
     """Bound on |lambda^(j+1)| from the majorant chain (double factorials)."""
-    ctx = report._ctx()
-    with ctx.workprec():
+    with report.ctx.workprec():
         w = mp.pi * report.n / report.X
         front = report.omega * mp.sqrt(2 / report.X) * (w ** 2 + w + 1)
         # 2 (2j-1)!! / (2j+2)!! via exact integers

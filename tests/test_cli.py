@@ -252,3 +252,10 @@ def test_bad_digits(capsys):
     code, _, err = run(capsys, "solve", "--problem", B2, "--digits", "5")
     assert code == 2
     assert "30" in err
+
+
+def test_digits_below_30_names_the_option(capsys):
+    code, out, err = run(capsys, "solve", "--problem", B2, "--digits", "10")
+    assert code == 2
+    assert out == ""
+    assert "--digits" in err and "30" in err

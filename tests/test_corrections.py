@@ -214,6 +214,18 @@ def test_payload_short_of_its_rank_rejected(x_solution):
         solution_from_payload(payload)
 
 
+def test_payload_longer_than_its_rank_rejected(x_solution):
+    # rank 6 with "m" edited to 3 used to load as rank 3, keeping 4 of 7 terms
+    payload = solution_to_payload(x_solution, CTX)
+    payload["m"] = 3
+    with pytest.raises(ValueError, match="rank 3 payload holds 7 terms and 6 corrections"):
+        solution_from_payload(payload)
+    payload["m"] = 6
+    payload["lambda_corrections"].append("0")
+    with pytest.raises(ValueError, match="rank 6 payload holds 7 terms and 7 corrections"):
+        solution_from_payload(payload)
+
+
 def test_payload_with_other_format_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["format"] = "something-else"

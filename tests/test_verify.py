@@ -429,10 +429,29 @@ def test_lu_factor_and_solve_direct():
         assert max(abs(mp.fdot(row, x) - bi) for row, bi in zip(rows, b)) <= tol * size
 
 
-def test_lu_factor_exact_zero_pivot_raises():
-    # after the swap, 2 - (1/2) 4 is exactly zero
-    with pytest.raises(ZeroDivisionError):
-        _lu_factor([[mpf(1), mpf(2)], [mpf(2), mpf(4)]], CTX50)
+def test_lu_factor_exact_zero_pivot_is_one_unit():
+    # after the swap, 2 - (1/2) 4 is exactly zero: U's last pivot becomes one
+    # unit of the scale, and the solve points along the null direction (2, -1)
+    lu, piv, e, bits = _lu_factor([[mpf(1), mpf(2)], [mpf(2), mpf(4)]], CTX50)
+    assert piv == [1, 0] and lu[1][1] == 1
+    x = _lu_solve(lu, piv, [1 << bits, 0], bits)
+    assert x[1] != 0 and x[0] == -2 * x[1]
+
+
+def test_oracle_factors_a_shift_on_an_eigenvalue_once(monkeypatch):
+    # zero potentials give a diagonal matrix; a shift equal to a diagonal entry
+    # makes an exactly zero pivot, and one factorization returns that entry
+    ctx = PrecisionContext(digits=60)
+    spec = ProblemSpec.make(1, [0, 0], [0, 0], [0, 0], ctx)
+    calls = []
+    monkeypatch.setattr(verify, "_lu_factor",
+                        lambda *args: calls.append(1) or _lu_factor(*args))
+    for n in (1, 2, 7):
+        shift = build_galerkin(spec, 24, ctx)[n - 1][n - 1]
+        calls.clear()
+        ritz = galerkin_nearest_eigenvalue(spec, shift, 24, ctx)
+        assert len(calls) == 1
+        assert matching_digits(ritz, shift, ctx) == 60
 
 
 @pytest.mark.parametrize("power", [400, -400])

@@ -8,8 +8,14 @@ correction lambda^(j), a sha256 of each term's four coefficient arrays,
 omega, and u at x = X/7, 3X/7 and 6X/7 (``eval_solution``), which says how
 far term arrays that differ move the eigenfunction.  It also holds the
 residual sweeps of benchmark 2 at (n, m) = (1, 10) and (50, 4), and of
-benchmark 1 at (1, 10) and (8, 6), whose q1 and q2 are nonzero.  Every
-real is written exactly, as ``mantissa*2^exponent``.
+benchmark 1 at (1, 10) and (8, 6), whose q1 and q2 are nonzero, and the
+sine-Galerkin oracle's eigenvalue with the rank-m eigenvalue as its shift:
+benchmark 2 with n in {1, 2} at rank 10 and benchmark 1 with n = 1 at rank
+20, with N = 200 at 50 digits, as in the benchmark's certify op and the
+oracle acceptance criterion, and zero potentials (``problems/zero.cfg``)
+with n in {1, 2} at rank 2, N = 24 and 60 digits for the solve and the
+oracle, where the shift lies exactly on a diagonal entry of the matrix.
+Every real is written exactly, as ``mantissa*2^exponent``.
 
 The library and the random problems come from the checkout that holds this
 script, so a record of another revision is made by running a copy of the
@@ -43,6 +49,10 @@ from tests.conftest import make_random_problems  # noqa: E402
 
 DIGITS = 300
 SWEEPS = (("b2", 1, 10), ("b2", 50, 4), ("b1", 1, 10), ("b1", 8, 6))
+# (problem, n, m, N, digits of the solve, digits of the oracle)
+ORACLES = (("b2", 1, 10, 200, DIGITS, 50), ("b2", 2, 10, 200, DIGITS, 50),
+           ("b1", 1, 20, 200, DIGITS, 50), ("zero", 1, 2, 24, 60, 60),
+           ("zero", 2, 2, 24, 60, 60))
 
 
 def exact(value) -> str:
@@ -59,19 +69,20 @@ def digest(term) -> str:
 
 def cases(ctx):
     """(name, spec, n, m) for every case, in a fixed order, and the two
-    benchmark specs by name."""
+    benchmark specs and the zero potentials by name."""
     b1 = fdsl4.load_problem(ROOT / "problems" / "benchmark1.cfg", ctx)
     b2 = fdsl4.load_problem(ROOT / "problems" / "benchmark2.cfg", ctx)
+    zero = fdsl4.load_problem(ROOT / "problems" / "zero.cfg", ctx)
     out = [(f"b1 n={n} m=20", b1, n, 20) for n in range(1, 9)]
     out += [(f"b2 n={n} m=10", b2, n, 10) for n in (1, 2, 50)]
     out += [(f"random {i} n=1 m=4", spec, 1, 4)
             for i, spec in enumerate(make_random_problems(20, ctx))]
-    return out, {"b1": b1, "b2": b2}
+    return out, {"b1": b1, "b2": b2, "zero": zero}
 
 
 def record(ctx) -> dict:
-    rows, benchmarks = cases(ctx)
-    result = {"cases": {}, "sweeps": {}}
+    rows, specs = cases(ctx)
+    result = {"cases": {}, "sweeps": {}, "oracle": {}}
     for name, spec, n, m in rows:
         sol = fdsl4.solve(spec, n, m, ctx)
         with ctx.workprec():
@@ -85,11 +96,18 @@ def record(ctx) -> dict:
         }
         print(name, file=sys.stderr)
     for name, n, m in SWEEPS:
-        spec = benchmarks[name]
+        spec = specs[name]
         sol = fdsl4.solve(spec, n, m, ctx)
         result["sweeps"][f"{name} n={n} m={m}"] = [
             exact(v) for v in fdsl4.residual_sweep(sol, spec, ctx)]
         print(f"sweep {name} n={n} m={m}", file=sys.stderr)
+    for name, n, m, N, digits, oracle_digits in ORACLES:
+        spec = specs[name]
+        sol = fdsl4.solve(spec, n, m, fdsl4.PrecisionContext(digits=digits))
+        ritz = fdsl4.galerkin_nearest_eigenvalue(spec, sol.lambda_approx, N,
+                                                 fdsl4.PrecisionContext(digits=oracle_digits))
+        result["oracle"][f"{name} n={n} m={m} N={N}"] = exact(ritz)
+        print(f"oracle {name} n={n} m={m} N={N}", file=sys.stderr)
     return result
 
 
@@ -122,6 +140,8 @@ def pairs(new: dict, old: dict):
     for name, sweep in new["sweeps"].items():
         for a, b in zip(sweep, old["sweeps"][name], strict=True):
             yield "residuals", a, b, None
+    for name, ritz in new["oracle"].items():
+        yield "oracle", ritz, old["oracle"][name], None
 
 
 def compare(new: dict, old: dict) -> None:
