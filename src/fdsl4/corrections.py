@@ -94,7 +94,9 @@ def _differentiate(arrays, w):
     )
 
 
-@lru_cache(maxsize=4096)
+# Re-read only by one solution's point values (m + 1 terms) and a repeated
+# sweep of the same terms; 128 entries of about 0.2 MiB (rank 20) bound memory.
+@lru_cache(maxsize=128)
 def _derivative_arrays(term: CorrectionTerm, dps: int):
     """Coefficient arrays of the term and of its derivatives of orders 1..4,
     indexed by order, at dps digits."""
@@ -165,11 +167,6 @@ def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:
         columns = basis_values(first.n, first.X, x, max(len(t.a) for t in terms) - 1, ctx)
         return mp.fsum(series_dot(_derivative_arrays(t, mp.dps)[deriv], columns)
                        for t in terms)
-
-
-def eval_term(term: CorrectionTerm, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:
-    """Value of d^deriv/dx^deriv of the term at x in [0, X], deriv <= 4."""
-    return _eval_terms((term,), x, deriv, ctx)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .rhs import add_base_term, build_rhs
 class MomentTable:
     """Cached integrals, indexed by the power t = 0..T."""
 
-    n: int
     X: mpf
     alpha: tuple  # integral of x^t sin^2(w x)
     beta: tuple   # integral of x^t sin(w x) cos(w x)
@@ -100,7 +99,7 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
             beta.append(half * trig[t].imag)
             eta.append(half * (grow[t].imag + decay[t].imag))
             mu.append(half * (grow[t].imag - decay[t].imag))
-        return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
+        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta),
                            eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
 
 

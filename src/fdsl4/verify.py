@@ -82,8 +82,6 @@ class QuadratureRule:
     """Composite Gauss-Legendre rule over [0, X], exact for panel-wise
     polynomials of degree 2*nodes_per_panel - 1."""
 
-    panels: int
-    nodes_per_panel: int
     nodes: tuple
     weights: tuple
 
@@ -100,8 +98,7 @@ class QuadratureRule:
                 for t, w in zip(base_x, base_w):
                     nodes.append(mid + h / 2 * t)
                     weights.append(w * h / 2)
-            return cls(panels=panels, nodes_per_panel=nodes_per_panel,
-                       nodes=tuple(nodes), weights=tuple(weights))
+            return cls(nodes=tuple(nodes), weights=tuple(weights))
 
     def integrate(self, f, ctx: PrecisionContext) -> mpf:
         with ctx.workprec():
@@ -282,7 +279,12 @@ def residual_sweep(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext):
     2^-guard, so one retry is enough.  A pass certifying under one digit
     bounds nothing: its retry allows for the cancellation of all its bits
     again, which covers the square of a series that cancels to its last place.
-    A spec whose X is not the solution's at ctx's precision raises ValueError.
+
+    The operator is the spec's: with the solution's X but other potentials
+    the sweep measures how far the solution is from solving that operator
+    (benchmark 2's solution against zero potentials: about 0.53 from rank 1).
+    Only a spec whose X is not the solution's at ctx's precision raises
+    ValueError, because the terms' basis sin(pi n x / X), ... depends on X.
     """
     if matching_digits(spec.X, sol.X, ctx) < ctx.digits:
         raise ValueError(f"spec is for X = {mp.nstr(spec.X, 15)}, the solution "

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mpf
 
 from fdsl4 import PrecisionContext, ProblemSpec, residual_sweep, solve
-from fdsl4.corrections import basis_values, series_dot
+from fdsl4.corrections import _eval_terms, basis_values, series_dot
 from fdsl4.rhs import add_base_term, build_rhs
 
 B2_INDICES = (1, 2, 3, 4, 5, 10, 20, 50)
@@ -34,6 +34,11 @@ def eval_series(arrays, n, X, x, ctx):
         x = mpf(x)
         top = max(len(arr) for arr in arrays) - 1
         return series_dot(arrays, basis_values(n, X, x, top, ctx))
+
+
+def eval_term(term, x, deriv=0, *, ctx):
+    """Value at x of the deriv-th derivative of one term, as eval_solution."""
+    return _eval_terms((term,), x, deriv, ctx)
 
 
 @pytest.fixture(scope="session")

@@ -344,7 +344,7 @@ def closed_form_moments(n, X, T, ctx):
                 u += pref * (ps * ch - pc * sh)
             eta.append(e)
             mu.append(u)
-        return MomentTable(n=n, X=X, alpha=tuple(alpha), beta=tuple(beta),
+        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta),
                            eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
 
 

@@ -10,13 +10,12 @@ import random
 
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, assemble, eval_term,
-                   galerkin_nearest_eigenvalue, load_fixtures, moments,
-                   residual_sweep, solve)
+from fdsl4 import (PrecisionContext, assemble, galerkin_nearest_eigenvalue, load_fixtures,
+                   moments, residual_sweep, solve)
 from fdsl4.convergence import convergence_report
 from fdsl4.spectral import lambda_correction
 
-from .conftest import B2_INDICES, eval_series, step_rhs
+from .conftest import B2_INDICES, eval_series, eval_term, step_rhs
 from .oracles import (least_squares_slope, majorant, power_matching_mismatch,
                       product_expansion_pair, term_pairs,
                       x_potential_second_correction)

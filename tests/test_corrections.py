@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, QuadratureRule, assemble,
-                   base_pair, eval_solution, eval_term, moments, solve)
+from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, assemble, base_pair,
+                   eval_solution, moments, solve)
 from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values, series_dot,
                                solution_from_payload, solution_to_payload)
+from fdsl4.verify import QuadratureRule
 
+from .conftest import eval_term
 from .oracles import horner_series
 
 CTX = PrecisionContext(digits=120)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
-                   eval_term, lambda_correction, moments, solve)
+                   lambda_correction, moments, solve)
 from fdsl4.recursion import closure_index0, solve_step
 from fdsl4.rhs import add_base_term, build_rhs
 
-from .conftest import eval_series, step_rhs
+from .conftest import eval_series, eval_term, step_rhs
 from .oracles import horner_series, power_matching_mismatch, product_expansion_pair, term_pairs
 
 CTX = PrecisionContext(digits=120)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (CorrectionTerm, PrecisionContext, ProblemSpec, base_pair,
-                   eval_term, lambda_correction, moments, solve)
+                   lambda_correction, moments, solve)
 from fdsl4.rhs import add_base_term, build_rhs
 
-from .conftest import eval_series, step_rhs
+from .conftest import eval_series, eval_term, step_rhs
 from .oracles import sequential_rhs
 
 CTX = PrecisionContext(digits=120)
@@ -129,7 +129,7 @@ def test_solvability_by_quadrature(benchmark1):
     # the projection through the independent quadrature path: <F, u0> equals
     # -lambda^(1). Composite Gauss-Legendre gains ~12 digits per panel
     # doubling, so 128 panels are enough for 1e-100 at 120-digit work
-    from fdsl4 import QuadratureRule
+    from fdsl4.verify import QuadratureRule
     spec = benchmark1
     rhs, lam1, base, _ = _step0(spec, 3)
     rule = QuadratureRule.build(spec.X, 128, 20, CTX)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, ProblemSpec, QuadratureRule, base_pair,
-                   lambda_correction, matching_digits, moments, solve, spectral, verify)
+from fdsl4 import (PrecisionContext, ProblemSpec, base_pair, lambda_correction,
+                   matching_digits, moments, solve, spectral, verify)
 from fdsl4.corrections import basis_values
 from fdsl4.rhs import build_rhs
+from fdsl4.verify import QuadratureRule
 
 from .conftest import eval_series
 from .oracles import closed_form_moments, x_potential_second_correction
