@@ -37,7 +37,7 @@ class ConvergenceReport:
         None when the sufficient condition fails or m < 1 (the bound's
         denominator degenerates at m = 0).
         """
-        if not self.converges or m < 1:
+        if check_index(m, 0, "rank must be >= 0") < 1 or not self.converges:
             return None
         with self.ctx.workprec():
             w = mp.pi * self.n / self.X
@@ -46,7 +46,7 @@ class ConvergenceReport:
 
     def u_bound(self, m: int):
         """A-priori bound on the L2 eigenfunction error, or None."""
-        if not self.converges or m < 1:
+        if check_index(m, 0, "rank must be >= 0") < 1 or not self.converges:
             return None
         with self.ctx.workprec():
             return self.r_n ** (m + 1) / ((m + 2) * mp.sqrt(mp.pi * (m + 1)))

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_cosh_sinh
 
-from .numerics import GUARD_DIGITS, PrecisionContext, check_index
+from .numerics import GUARD_DIGITS, PrecisionContext, check_index, check_interval
 from .problem import ProblemSpec
 
 
@@ -140,14 +139,12 @@ def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
     """Point-evaluation columns x^p (sin, cos, sinh, cosh)(w x), p = 0..top.
 
     :func:`series_dot` of a series with these columns is its value at x.
-    Built once per point, they serve every term and derivative order.  sin
-    and cos come from one ``cos_sin`` call, sinh and cosh from one
-    ``mpf_cosh_sinh`` call, which is what ``mp.sinh`` and ``mp.cosh`` each run.
+    Built once per point, they serve every term and derivative order.
     """
     with ctx.workprec():
         wx = mp.pi * n / X * x
         cos_wx, sin_wx = mp.cos_sin(wx)
-        cosh_wx, sinh_wx = map(mp.make_mpf, mpf_cosh_sinh(wx._mpf_, *mp._prec_rounding))
+        sinh_wx, cosh_wx = mp.sinh(wx), mp.cosh(wx)
         powers = [mpf(1)]
         for _ in range(top):
             powers.append(powers[-1] * x)
@@ -162,7 +159,7 @@ def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:
     first = terms[0]
     with ctx.workprec():
         x = mpf(x)
-        if x < 0 or x > first.X:
+        if not 0 <= x <= first.X:
             raise ValueError(f"x={x} outside [0, {first.X}]")
         columns = basis_values(first.n, first.X, x, max(len(t.a) for t in terms) - 1, ctx)
         return mp.fsum(series_dot(_derivative_arrays(t, mp.dps)[deriv], columns)
@@ -182,21 +179,21 @@ class FDSolution:
     lambda_approx: mpf
 
 
-def assemble(terms, lambda_values, m: int, ctx: PrecisionContext) -> FDSolution:
-    """Truncate a correction history at rank m and form the eigenvalue sum.
+def assemble(terms, lambda_values, ctx: PrecisionContext) -> FDSolution:
+    """The solution of a correction history and its eigenvalue sum.
 
-    ``lambda_values`` lists the base eigenvalue first, then the corrections.
+    ``terms`` holds steps 0..m and ``lambda_values`` the base eigenvalue
+    then lambda^(1..m), so the rank m is ``len(terms) - 1``.
     """
-    terms = tuple(terms)
-    lambda_values = tuple(lambda_values)
-    m = check_index(m, 0, "rank must be >= 0")
-    if len(terms) < m + 1 or len(lambda_values) < m + 1:
-        raise ValueError(f"need {m + 1} terms and eigenvalue entries for rank {m}")
-    return FDSolution(n=terms[0].n, m=m, X=terms[0].X,
+    terms, lambda_values = tuple(terms), tuple(lambda_values)
+    if not terms or len(terms) != len(lambda_values):
+        raise ValueError(f"need as many terms as eigenvalue entries, at least one; "
+                         f"got {len(terms)} and {len(lambda_values)}")
+    return FDSolution(n=terms[0].n, m=len(terms) - 1, X=terms[0].X,
                       lambda0=lambda_values[0],
-                      lambda_corrections=lambda_values[1:m + 1],
-                      terms=terms[:m + 1],
-                      lambda_approx=lambda_partials(lambda_values[:m + 1], ctx)[-1])
+                      lambda_corrections=lambda_values[1:],
+                      terms=terms,
+                      lambda_approx=lambda_partials(lambda_values, ctx)[-1])
 
 
 def lambda_partials(lambda_values, ctx: PrecisionContext) -> list:
@@ -250,19 +247,23 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
 
 
 def solution_from_payload(payload: dict) -> FDSolution:
-    """The solution a payload records, built through :func:`assemble`, which
-    refuses a payload short of its rank and forms the eigenvalue sum again;
-    one with more terms or corrections than its rank holds is refused here."""
+    """The solution a payload records, through :func:`assemble`, which forms
+    the eigenvalue sum again.  Refused: n, m or X out of range, term or
+    correction counts other than the rank, and a term j not its position."""
     if payload.get("format") != "fdsl4-solution":
         raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
-    m, ranks = payload["m"], (len(payload["terms"]) - 1, len(payload["lambda_corrections"]))
-    if max(ranks) > m:
+    n = check_index(payload["n"], 1, "eigenpair index must be >= 1")
+    m = check_index(payload["m"], 0, "rank must be >= 0")
+    ranks = (len(payload["terms"]) - 1, len(payload["lambda_corrections"]))
+    if ranks != (m, m):
         raise ValueError(f"rank {m} payload holds {ranks[0] + 1} terms and {ranks[1]} corrections")
+    steps = [tp["j"] for tp in payload["terms"]]
+    if steps != list(range(m + 1)):
+        raise ValueError(f"payload terms say j = {steps}, not 0..{m}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
-        X = mpf(payload["X"])
-        terms = [CorrectionTerm(j=tp["j"], n=payload["n"], X=X,
-                                **{f: tuple(map(mpf, tp[f])) for f in "abcd"})
-                 for tp in payload["terms"]]
+        X = check_interval(mpf(payload["X"]))
+        terms = [CorrectionTerm(j=k, n=n, X=X, **{f: tuple(map(mpf, tp[f])) for f in "abcd"})
+                 for k, tp in enumerate(payload["terms"])]
         lambdas = [mpf(s) for s in [payload["lambda0"], *payload["lambda_corrections"]]]
-    return assemble(terms, lambdas, payload["m"], ctx)
+    return assemble(terms, lambdas, ctx)

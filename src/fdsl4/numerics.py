@@ -58,6 +58,13 @@ def check_index(value, low: int, message: str) -> int:
     return index
 
 
+def check_interval(X):
+    """``X`` itself, or ValueError unless 0 < X < inf (nan is refused)."""
+    if not 0 < X < mp.inf:
+        raise ValueError("interval length X must be positive and finite")
+    return X
+
+
 def matching_digits(value, reference, ctx: PrecisionContext) -> int:
     """Leading significant digits on which value agrees with the reference,
     at most ctx.digits: no comparison certifies more than the context carries."""

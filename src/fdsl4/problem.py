@@ -34,7 +34,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, check_interval
 
 
 class ProblemFormatError(ValueError):
@@ -122,8 +122,7 @@ class ProblemSpec:
     q2: tuple
 
     def __post_init__(self):
-        if not 0 < self.X < mp.inf:
-            raise ValueError("interval length X must be positive and finite")
+        check_interval(self.X)
         for name in ("q0", "q1", "q2"):
             q = tuple(getattr(self, name))
             object.__setattr__(self, name, q)   # a list would not hash for omega's cache

@@ -31,31 +31,24 @@ lambda^(j+1) (:meth:`fdsl4.spectral.MomentTable.project`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from mpmath import mp, mpf
 
 from .corrections import series_dot
 from .numerics import PrecisionContext
-from .problem import ProblemSpec
-
-if TYPE_CHECKING:  # avoid an import cycle with the orchestration module
-    from .spectral import MomentTable
 
 
-def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
-                   moments: "MomentTable", ctx: PrecisionContext):
+def closure_index0(n: int, a, b, c, d, moments, ctx: PrecisionContext):
     """Power-0 coefficients from the boundary conditions and orthogonality.
 
-    ``a`` .. ``d`` are the walked arrays indexed by power; their entry 0 is
-    not read.  The hinged conditions at 0 give the cos/cosh pair directly.
-    u(X) = 0 is one :func:`~fdsl4.corrections.series_dot` of the cos, sinh
-    and cosh families against the table's point columns at X, taken with
-    c0 = 0 and solved for the sinh coefficient c0.  Orthogonality against the base eigenfunction, the
-    moment-table projection, then pins the sin coefficient a0.
+    ``a`` .. ``d`` are the walked arrays indexed by power, entry 0 unread; X
+    is the moment table's.  The hinged conditions at 0 give the cos/cosh pair
+    directly.  u(X) = 0 is one :func:`~fdsl4.corrections.series_dot` of the
+    cos, sinh and cosh families against the table's point columns at X, taken
+    with c0 = 0 and solved for the sinh coefficient c0.  Orthogonality against
+    the base eigenfunction, the moment-table projection, then pins a0.
     """
     with ctx.workprec():
-        iw = spec.X / (mp.pi * n)
+        iw = moments.X / (mp.pi * n)
         c1 = c[1] if len(c) > 1 else mpf(0)
         d2 = d[2] if len(d) > 2 else mpf(0)
         b0 = iw * (a[1] + c1 + iw * (b[2] + d2))
@@ -69,19 +62,18 @@ def closure_index0(spec: ProblemSpec, n: int, a, b, c, d,
         return a0, b0, c0, d0
 
 
-def solve_step(spec: ProblemSpec, n: int, j: int, rhs: tuple,
-               moments: "MomentTable", ctx: PrecisionContext):
-    """All four coefficient arrays of the step-(j+1) correction.
+def solve_step(n: int, rhs: tuple, moments, ctx: PrecisionContext):
+    """Arrays (a, b, c, d) of the correction that inverts F = ``rhs``.
 
-    One downward loop, seeded with zero rows above the top powers, gives
-    powers M .. 1 and the closure gives power 0.  Returns (a, b, c, d) as
-    tuples with trig length M(j+1)+1 and hyperbolic length M(j)+1.
+    The budgets are F's lengths, M1 = len(f_sin) and M0 = len(f_sinh), and X
+    is the moment table's.  One downward loop from zero rows above M1 gives
+    powers M1 .. 1, the closure power 0; a, b get length M1+1, c, d M0+1.
     """
-    M1, M0 = spec.M(j + 1), spec.M(j)
     f_sin, f_cos, f_sinh, f_cosh = rhs
+    M1, M0 = len(f_sin), len(f_sinh)
     fdot = mp.fdot
     with ctx.workprec():
-        iw = spec.X / (mp.pi * n)
+        iw = moments.X / (mp.pi * n)
         k1, k2, k3 = 3 * iw / 2, iw ** 2, iw ** 3 / 4
         a, b = [mpf(0)] * (M1 + 4), [mpf(0)] * (M1 + 4)
         c, d = [mpf(0)] * (M0 + 4), [mpf(0)] * (M0 + 4)
@@ -95,5 +87,5 @@ def solve_step(spec: ProblemSpec, n: int, j: int, rhs: tuple,
                 c[t] = fdot(((n11, d[t + 1]), (n12, c[t + 2]), (n13, d[t + 3]), (s, f_cosh[t - 1])))
                 d[t] = fdot(((n11, c[t + 1]), (n12, d[t + 2]), (n13, c[t + 3]), (s, f_sinh[t - 1])))
         del a[M1 + 1:], b[M1 + 1:], c[M0 + 1:], d[M0 + 1:]
-    a[0], b[0], c[0], d[0] = closure_index0(spec, n, a, b, c, d, moments, ctx)
+    a[0], b[0], c[0], d[0] = closure_index0(n, a, b, c, d, moments, ctx)
     return tuple(a), tuple(b), tuple(c), tuple(d)

@@ -30,15 +30,15 @@ from .numerics import PrecisionContext
 from .problem import ProblemSpec
 
 
-def build_rhs(spec: ProblemSpec, n: int, j: int, terms, lambdas,
-              ctx: PrecisionContext) -> tuple:
+def build_rhs(spec: ProblemSpec, n: int, terms, lambdas, ctx: PrecisionContext) -> tuple:
     """Arrays (f_sin, f_cos, f_sinh, f_cosh) of F for step j+1, without the
     lambda^(j+1) u^(0) summand.
 
-    ``terms`` and ``lambdas`` hold the corrections and eigenvalue values of
-    steps 0..j (base first), as ``solve`` passes them; later entries are
-    ignored, and a missing one that the step reads raises IndexError.
+    ``terms`` and ``lambdas`` are the history of steps 0..j (base first), as
+    ``solve`` grows it, so j is ``len(terms) - 1``.  The step reads u^(1..j)
+    and lambda^(1..j); a ``lambdas`` without one of them raises IndexError.
     """
+    j = len(terms) - 1
     M1, M0 = spec.M(j + 1), spec.M(j)
     with ctx.workprec():
         w = mp.pi * n / spec.X

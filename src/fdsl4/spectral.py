@@ -33,7 +33,7 @@ from mpmath import mp, mpf
 from . import recursion
 from .corrections import (CorrectionTerm, FDSolution, assemble, base_pair, basis_values,
                           series_dot)
-from .numerics import PrecisionContext, check_index
+from .numerics import PrecisionContext, check_index, check_interval
 from .problem import ProblemSpec
 from .rhs import add_base_term, build_rhs
 
@@ -88,9 +88,7 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
     n = check_index(n, 1, "eigenpair index must be >= 1")
     T = check_index(T, 0, "highest power T must be >= 0")
     with ctx.workprec():
-        X = mpf(X)
-        if not 0 < X < mp.inf:
-            raise ValueError("interval length X must be positive and finite")
+        X = check_interval(mpf(X))
         trig, grow, decay = (_exp_moments(re, im, n, T) for re, im in ((0, 2), (1, 1), (-1, 1)))
         alpha, beta, eta, mu = [], [], [], []
         for t in range(T + 1):
@@ -118,10 +116,10 @@ def lambda_correction(rhs: tuple, table: MomentTable, ctx: PrecisionContext) -> 
 def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolution:
     """Rank-m approximation to eigenpair n.
 
-    Stages per step j = 0..m-1: right-hand side F, eigenvalue correction as
-    its projection, downward scalar recurrences from zeros above the top,
-    power-0 closure, term assembly.  Steps are inherently sequential;
-    different n are independent.
+    Per step j = 0..m-1: F from the history of steps 0..j, the eigenvalue
+    correction as its projection, and the recurrences and power-0 closure,
+    sized by F and reading X from the moment table; the rank is the
+    history's length.  Steps are sequential; different n are independent.
     """
     n = check_index(n, 1, "eigenpair index must be >= 1")
     m = check_index(m, 0, "rank must be >= 0")
@@ -130,9 +128,9 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     # the highest power any step reads is M(m), in the last step's closure
     table = moments(n, spec.X, spec.M(m), ctx)
     for j in range(m):
-        step_rhs = build_rhs(spec, n, j, terms, lambdas, ctx)
+        step_rhs = build_rhs(spec, n, terms, lambdas, ctx)
         lambdas.append(lambda_correction(step_rhs, table, ctx))
         step_rhs = add_base_term(step_rhs, lambdas[-1], term0, ctx)
-        a, b, c, d = recursion.solve_step(spec, n, j, step_rhs, table, ctx)
+        a, b, c, d = recursion.solve_step(n, step_rhs, table, ctx)
         terms.append(CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d))
-    return assemble(terms, lambdas, m, ctx)
+    return assemble(terms, lambdas, ctx)

@@ -470,9 +470,11 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
     exact integer sums with one rounding at the division and one at the shift.
     """
     N = check_index(N, 1, "need N >= 1")
+    shift = ctx.mpf(shift)
+    if not mp.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     rows = build_galerkin(spec, N, ctx)
     with ctx.workprec():
-        shift = mpf(shift)
         lu, piv, e, bits = _lu_factor([[v - shift if i == j else v for j, v in enumerate(row)]
                                        for i, row in enumerate(rows)], ctx)
         y = [1] * N

@@ -24,7 +24,7 @@ B2_INDICES = (1, 2, 3, 4, 5, 10, 20, 50)
 def step_rhs(spec, sol, j, ctx):
     """Right-hand side F + lambda^(j+1) u^(0) that step j+1 of sol inverted."""
     lambdas = (sol.lambda0,) + sol.lambda_corrections
-    rhs = build_rhs(spec, sol.n, j, sol.terms, lambdas, ctx)
+    rhs = build_rhs(spec, sol.n, sol.terms[:j + 1], lambdas[:j + 1], ctx)
     return add_base_term(rhs, lambdas[j + 1], sol.terms[0], ctx)
 
 

@@ -78,7 +78,7 @@ def test_criterion_3_benchmark1_errors(benchmark1, b1_solutions_m20, ctx300):
             lam_values = (full.lambda0,) + full.lambda_corrections
             exact = mpf(fx.b1_exact[n])
             for m in (10, 15, 20):
-                sol = assemble(full.terms, lam_values, m, ctx300)
+                sol = assemble(full.terms[:m + 1], lam_values[:m + 1], ctx300)
                 err = abs(exact - sol.lambda_approx)
                 ratio = err / mpf(fx.b1_fd_error[(n, m)])
                 off = max(ratio, 1 / ratio)
@@ -313,7 +313,7 @@ def test_criterion_6_diagnostics(benchmark1, benchmark2, b1_solutions_m20,
             lam_values = (full.lambda0,) + full.lambda_corrections
             exact = mpf(fx.b1_exact[n])
             for m in (10, 15, 20):
-                sol = assemble(full.terms, lam_values, m, ctx300)
+                sol = assemble(full.terms[:m + 1], lam_values[:m + 1], ctx300)
                 if not abs(exact - sol.lambda_approx) <= report.lambda_bound(m):
                     problems.append(f"benchmark1 bound violated n={n} m={m}")
 
@@ -323,7 +323,7 @@ def test_criterion_6_diagnostics(benchmark1, benchmark2, b1_solutions_m20,
             deep = solve(benchmark2, n, 14, ctx300)
             lam_values = (deep.lambda0,) + deep.lambda_corrections
             for m in (5, 8, 10):
-                sol = assemble(deep.terms, lam_values, m, ctx300)
+                sol = assemble(deep.terms[:m + 1], lam_values[:m + 1], ctx300)
                 observed = abs(deep.lambda_approx - sol.lambda_approx)
                 if not observed <= report.lambda_bound(m):
                     problems.append(f"benchmark2 bound violated n={n} m={m}")
@@ -403,7 +403,7 @@ def test_criterion_8_exponential_rates(benchmark1, b1_solutions_m20,
         for n in (1, 8):
             full = b1_solutions_m20[n]
             lam_values = (full.lambda0,) + full.lambda_corrections
-            sol10 = assemble(full.terms, lam_values, 10, ctx300)
+            sol10 = assemble(full.terms[:11], lam_values[:11], ctx300)
             deltas = residual_sweep(sol10, benchmark1, ctx300)
             xs = list(range(1, 11))
             ys = [mp.log(deltas[m]) for m in xs]

@@ -67,8 +67,9 @@ def test_eval_base_midpoint():
 def test_eval_rejects_outside_interval():
     spec = ProblemSpec.make(1, [0, 0], [0], [0], CTX)
     term, _ = base_pair(spec, 1, CTX)
-    with pytest.raises(ValueError):
-        eval_term(term, 1.5, ctx=CTX)
+    for x in (1.5, mp.nan):
+        with pytest.raises(ValueError):
+            eval_term(term, x, ctx=CTX)
     with pytest.raises(ValueError):
         eval_term(term, 0.5, 5, ctx=CTX)
 
@@ -139,26 +140,27 @@ def test_reflection_parity_x_potential(x_potential):
 
 
 def test_assemble_rank0(x_solution):
-    sol0 = assemble(x_solution.terms, (x_solution.lambda0,) + x_solution.lambda_corrections,
-                    0, CTX)
+    sol0 = assemble(x_solution.terms[:1], (x_solution.lambda0,), CTX)
     assert sol0.m == 0
     assert sol0.lambda_approx == sol0.lambda0
     assert sol0.lambda_corrections == ()
 
 
 def test_assemble_rank1_is_base_plus_half(x_solution):
-    sol1 = assemble(x_solution.terms, (x_solution.lambda0,) + x_solution.lambda_corrections,
-                    1, CTX)
+    sol1 = assemble(x_solution.terms[:2], (x_solution.lambda0,) + x_solution.lambda_corrections[:1],
+                    CTX)
     with CTX.workprec():
         assert abs(sol1.lambda_approx - (mp.pi ** 4 + mpf(1) / 2)) < mpf(10) ** -110
 
 
 def test_assemble_requires_enough_entries(x_solution):
     with pytest.raises(ValueError):
-        assemble(x_solution.terms[:2], (x_solution.lambda0,), 3, CTX)
+        assemble(x_solution.terms[:2], (x_solution.lambda0,), CTX)
     lambdas = (x_solution.lambda0,) + x_solution.lambda_corrections
-    with pytest.raises(ValueError, match="rank must be >= 0"):
-        assemble(x_solution.terms, lambdas, -1, CTX)
+    with pytest.raises(ValueError, match="as many terms as eigenvalue entries"):
+        assemble(x_solution.terms, lambdas[:-1], CTX)
+    with pytest.raises(ValueError, match="at least one"):
+        assemble((), (), CTX)
 
 
 def test_eval_solution_sums_terms(x_solution):
@@ -212,7 +214,7 @@ def test_payload_short_of_its_rank_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["terms"] = payload["terms"][:4]
     payload["lambda_corrections"] = payload["lambda_corrections"][:3]
-    with pytest.raises(ValueError, match="need 7 terms and eigenvalue entries for rank 6"):
+    with pytest.raises(ValueError, match="rank 6 payload holds 4 terms and 3 corrections"):
         solution_from_payload(payload)
 
 
@@ -225,6 +227,24 @@ def test_payload_longer_than_its_rank_rejected(x_solution):
     payload["m"] = 6
     payload["lambda_corrections"].append("0")
     with pytest.raises(ValueError, match="rank 6 payload holds 7 terms and 7 corrections"):
+        solution_from_payload(payload)
+
+
+def test_payload_with_bad_interval_rejected(x_solution):
+    # each of these X used to load
+    for X in ("0", "-1", "nan", "inf"):
+        payload = solution_to_payload(x_solution, CTX)
+        payload["X"] = X
+        with pytest.raises(ValueError, match="interval length X must be positive and finite"):
+            solution_from_payload(payload)
+
+
+def test_payload_with_misnumbered_terms_rejected(x_solution):
+    # a payload whose terms all said j = 7 used to load
+    payload = solution_to_payload(x_solution, CTX)
+    for tp in payload["terms"]:
+        tp["j"] = 7
+    with pytest.raises(ValueError, match=r"terms say j = \[7, 7, 7, 7, 7, 7, 7\], not 0..6"):
         solution_from_payload(payload)
 
 

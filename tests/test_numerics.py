@@ -3,8 +3,9 @@
 import pytest
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, assemble, base_pair, convergence_report,
+from fdsl4 import (PrecisionContext, base_pair, convergence_report,
                    galerkin_nearest_eigenvalue, matching_digits, moments, solve)
+from fdsl4.corrections import solution_from_payload, solution_to_payload
 
 
 def _replay(computation, ctx_hi, ctx_lo):
@@ -73,7 +74,10 @@ ENTRIES = {
     "solve-n": (lambda spec, v: solve(spec, v, 2, CTX60), 1, INDEX),
     "solve-m": (lambda spec, v: solve(spec, 1, v, CTX60), 0, RANK),
     "convergence_report": (lambda spec, v: convergence_report(spec, v, CTX60), 1, INDEX),
-    "assemble": (lambda spec, v: assemble(*_history(spec), v, CTX60), 0, RANK),
+    "payload-n": (lambda spec, v: _load_edited(spec, "n", v), 1, INDEX),
+    "payload-m": (lambda spec, v: _load_edited(spec, "m", v), 0, RANK),
+    "lambda_bound": (lambda spec, v: convergence_report(spec, 3, CTX60).lambda_bound(v), 0, RANK),
+    "u_bound": (lambda spec, v: convergence_report(spec, 3, CTX60).u_bound(v), 0, RANK),
     "galerkin_nearest_eigenvalue":
         (lambda spec, v: galerkin_nearest_eigenvalue(spec, 98, v, CTX60), 1, "need N >= 1"),
     "PrecisionContext":
@@ -81,9 +85,11 @@ ENTRIES = {
 }
 
 
-def _history(spec):
-    sol = solve(spec, 1, 2, CTX60)
-    return sol.terms, (sol.lambda0,) + sol.lambda_corrections
+def _load_edited(spec, field, v):
+    """Load the payload of a rank-0 solve for n = 1 with ``field`` set to v."""
+    payload = solution_to_payload(solve(spec, 1, 0, CTX60), CTX60)
+    payload[field] = v
+    return solution_from_payload(payload)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)

@@ -28,7 +28,7 @@ def x_potential():
 def _first_step_rhs(spec, n):
     term0, lam0 = base_pair(spec, n, CTX)
     table = moments(n, spec.X, spec.M(1), CTX)
-    rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
+    rhs = build_rhs(spec, n, [term0], [lam0], CTX)
     return add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX), table
 
 
@@ -37,7 +37,7 @@ def test_x_potential_top_coeffs(x_potential):
     # give powers 2 and 1 (power 0 is the closure's)
     n = 3
     rhs, table = _first_step_rhs(x_potential, n)
-    a, b, _, _ = solve_step(x_potential, n, 0, rhs, table, CTX)
+    a, b, _, _ = solve_step(n, rhs, table, CTX)
     assert len(a) == len(b) == 3
     with CTX.workprec():
         pn = mp.pi * n
@@ -52,13 +52,13 @@ def test_x_potential_top_coeffs(x_potential):
 def test_zero_rhs_gives_zero_rows(x_potential):
     zero = ((mpf(0),) * 2, (mpf(0),) * 2, (), ())
     table = moments(1, x_potential.X, x_potential.M(1), CTX)
-    arrays = solve_step(x_potential, 1, 0, zero, table, CTX)
+    arrays = solve_step(1, zero, table, CTX)
     assert all(v == 0 for arr in arrays for v in arr[1:])
 
 
 def test_hyp_family_skipped_at_step_one(x_potential):
     rhs, table = _first_step_rhs(x_potential, 1)
-    _, _, c, d = solve_step(x_potential, 1, 0, rhs, table, CTX)
+    _, _, c, d = solve_step(1, rhs, table, CTX)
     assert len(c) == len(d) == 1  # power 0 only, from the closure
 
 
@@ -66,7 +66,7 @@ def test_benchmark1_step1_full_arrays(benchmark1):
     # budget 5: the highest-power rows give powers 5, 4, 3, the walk 2 and 1
     n = 1
     rhs, table = _first_step_rhs(benchmark1, n)
-    a, b, _, _ = solve_step(benchmark1, n, 0, rhs, table, CTX)
+    a, b, _, _ = solve_step(n, rhs, table, CTX)
     with CTX.workprec():
         pn = mp.pi * n
         s10 = mp.sqrt(mpf(10))
@@ -116,7 +116,7 @@ def test_closure_zero_arrays(x_potential):
     table = moments(1, x_potential.X, 8, CTX)
     with CTX.workprec():
         trig, hyp = [mpf(0)] * 3, [mpf(0)]
-        vals = closure_index0(x_potential, 1, trig, trig, hyp, hyp, table, CTX)
+        vals = closure_index0(1, trig, trig, hyp, hyp, table, CTX)
         assert all(v == 0 for v in vals)
 
 
@@ -128,9 +128,9 @@ def test_closure_rejects_short_table(benchmark1):
     arrays = (term.a, term.b, term.c, term.d)
     top = len(term.a) - 1
     assert top == benchmark1.M(2) and len(term.c) > 1
-    closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top, CTX), CTX)
+    closure_index0(1, *arrays, moments(1, benchmark1.X, top, CTX), CTX)
     with pytest.raises(IndexError):
-        closure_index0(benchmark1, 1, *arrays, moments(1, benchmark1.X, top - 1, CTX), CTX)
+        closure_index0(1, *arrays, moments(1, benchmark1.X, top - 1, CTX), CTX)
 
 
 def test_closure_u_at_X_skips_sin_family(benchmark1):
@@ -141,8 +141,8 @@ def test_closure_u_at_X_skips_sin_family(benchmark1):
     table = moments(1, benchmark1.X, len(term.a) - 1, CTX)
     with CTX.workprec():
         moved = term.a[:2] + tuple(v + 10 ** 40 for v in term.a[2:])
-    c0 = closure_index0(benchmark1, 1, term.a, term.b, term.c, term.d, table, CTX)[2]
-    assert closure_index0(benchmark1, 1, moved, term.b, term.c, term.d, table, CTX)[2] == c0
+    c0 = closure_index0(1, term.a, term.b, term.c, term.d, table, CTX)[2]
+    assert closure_index0(1, moved, term.b, term.c, term.d, table, CTX)[2] == c0
 
 
 def test_hyperbolic_rows_keep_relative_accuracy():
@@ -155,7 +155,7 @@ def test_hyperbolic_rows_keep_relative_accuracy():
     with CTX.workprec():
         trig = (mpf(0),) * spec.M(j + 1)
         rhs = (trig, trig, (mpf(1), mpf("2.2e-309")), (mpf(0),) * 2)
-    _, _, c, d = solve_step(spec, n, j, rhs, table, CTX)
+    _, _, c, d = solve_step(n, rhs, table, CTX)
     with CTX.workprec():
         w = mp.pi * n / spec.X
         assert d[2] != 0
@@ -256,7 +256,7 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
             for size in (M1, M1, M0, M0))
     rhs = (f_sin, f_cos, f_sinh, f_cosh)
     rhs = add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX)
-    a, b, c, d = solve_step(spec, n, j, rhs, table, CTX)
+    a, b, c, d = solve_step(n, rhs, table, CTX)
     term = CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d)
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 30)

@@ -22,7 +22,7 @@ def _step0(spec, n):
     """F of step 1 without lambda^(1) u^(0), lambda^(1), the base term and the table."""
     term0, lam0 = base_pair(spec, n, CTX)
     table = moments(n, spec.X, spec.M(1), CTX)
-    rhs = build_rhs(spec, n, 0, [term0], [lam0], CTX)
+    rhs = build_rhs(spec, n, [term0], [lam0], CTX)
     return rhs, lambda_correction(rhs, table, CTX), term0, table
 
 
@@ -54,11 +54,11 @@ def test_zero_potentials_zero_rhs():
 
 
 def test_missing_history_raises():
-    # step 2 reads the step-1 term; a missing lambda^(j+1) is valid input
+    # step 2 reads lambda^(1); a history of two terms and one eigenvalue lacks it
     spec = ProblemSpec.make(1, [0, 1], [0], [0], CTX)
-    term0, lam0 = base_pair(spec, 1, CTX)
+    sol = solve(spec, 1, 1, CTX)
     with pytest.raises(IndexError):
-        build_rhs(spec, 1, 1, [term0], [lam0, mpf(1) / 2], CTX)
+        build_rhs(spec, 1, sol.terms, [sol.lambda0], CTX)
 
 
 def _pointwise_rhs(spec, j, terms, lambdas, x):
@@ -119,7 +119,7 @@ def test_solvability_inner_product(benchmark1):
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 20)
         for j in range(m):
-            rhs = build_rhs(spec, n, j, sol.terms, lambdas, CTX)
+            rhs = build_rhs(spec, n, sol.terms[:j + 1], lambdas[:j + 1], CTX)
             assert lambda_correction(rhs, table, CTX) == sol.lambda_corrections[j]
             full = step_rhs(spec, sol, j, CTX)
             assert abs(lambda_correction(full, table, CTX)) < tol
@@ -145,7 +145,7 @@ FAMILIES = ("f_sin", "f_cos", "f_sinh", "f_cosh")  # the order of build_rhs's ar
 def _assert_matches_sequential(spec, n, j, terms, lambdas, ctx):
     """Every F coefficient equals the sequential sum within 10^-(digits-10)
     of the sum of the absolute values of its summands."""
-    got = build_rhs(spec, n, j, terms, lambdas, ctx)
+    got = build_rhs(spec, n, terms[:j + 1], lambdas[:j + 1], ctx)
     want = sequential_rhs(spec, n, j, terms, lambdas, ctx)
     size = sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=True)
     with ctx.workprec():

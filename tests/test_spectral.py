@@ -177,7 +177,7 @@ def test_first_correction_x_potential(x_potential):
     for n in (1, 2, 9):
         term0, lam0 = base_pair(x_potential, n, CTX)
         table = moments(n, x_potential.X, 4, CTX)
-        rhs = build_rhs(x_potential, n, 0, [term0], [lam0], CTX)
+        rhs = build_rhs(x_potential, n, [term0], [lam0], CTX)
         lam1 = lambda_correction(rhs, table, CTX)
         with CTX.workprec():
             assert abs(lam1 - mpf(1) / 2) < mpf(10) ** -(CTX.digits - 10)
@@ -186,7 +186,7 @@ def test_first_correction_x_potential(x_potential):
 def test_first_correction_benchmark1(benchmark1):
     term0, lam0 = base_pair(benchmark1, 1, CTX)
     table = moments(1, benchmark1.X, 8, CTX)
-    lam1 = lambda_correction(build_rhs(benchmark1, 1, 0, [term0], [lam0], CTX),
+    lam1 = lambda_correction(build_rhs(benchmark1, 1, [term0], [lam0], CTX),
                              table, CTX)
     with CTX.workprec():
         pn = mp.pi
@@ -295,7 +295,7 @@ def test_lambda_correction_rejects_short_table(benchmark1):
     # must raise rather than drop the top summands
     sol = solve(benchmark1, 1, 1, CTX)
     lambdas = (sol.lambda0,) + sol.lambda_corrections
-    rhs = build_rhs(benchmark1, 1, 1, sol.terms, lambdas, CTX)
+    rhs = build_rhs(benchmark1, 1, sol.terms, lambdas, CTX)
     top = len(rhs[0]) - 1
     assert top == benchmark1.M(2) - 1
     lambda_correction(rhs, moments(1, benchmark1.X, top, CTX), CTX)

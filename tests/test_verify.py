@@ -406,6 +406,14 @@ def test_galerkin_unsettled_iteration_reports_residual(x_potential, monkeypatch)
         galerkin_nearest_eigenvalue(x_potential, 100, 20, CTX50)
 
 
+def test_galerkin_refuses_a_non_finite_shift(x_potential, monkeypatch):
+    # an inf or nan shift used to fail inside _fixed, after the matrix was built
+    monkeypatch.setattr(verify, "build_galerkin", None)
+    for shift in (mp.inf, mp.nan, "-inf"):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            galerkin_nearest_eigenvalue(x_potential, shift, 20, CTX50)
+
+
 def _fixed_system(n=30, seed=7):
     """Entries on a 1e-6 grid in [-1, 1]; A[0][0] is the smallest entry of its column."""
     rng = random.Random(seed)
