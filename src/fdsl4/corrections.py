@@ -6,9 +6,11 @@ Every correction u_n^(j) produced by the method lives in the span of
 
 with the polynomial degree growing by r+1 per step: the trig part of step j
 carries powers 0..M(j) and the hyperbolic part powers 0..M(j-1), where
-M(j) = j*(r+1).  A :class:`CorrectionTerm` stores the four coefficient arrays
-(a multiplies sin, b cos, c sinh, d cosh); a and b share a length, c and d share
-one that is at most it.
+M(j) = j*(r+1).  A :class:`CorrectionTerm` is the tuple of its four
+coefficient arrays (a multiplies sin, b cos, c sinh, d cosh); a and b share a
+length, c and d share one that is at most it.  A term's derivatives, a
+right-hand side F and a residual are the same (sin, cos, sinh, cosh) tuple,
+and n and X, which fix w for all of them, belong to the :class:`FDSolution`.
 
 Differentiation maps this family to itself by an exact coefficient
 transformation, so derivatives up to the fourth order (needed for residual
@@ -26,6 +28,7 @@ recursion as step 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,33 +38,18 @@ from .numerics import GUARD_DIGITS, PrecisionContext, check_index, check_interva
 from .problem import ProblemSpec
 
 
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """One correction u_n^(j): coefficient arrays over the mixed basis."""
+class CorrectionTerm(namedtuple("CorrectionTerm", "a b c d")):
+    """One correction u_n^(j): the tuple of its (sin, cos, sinh, cosh) arrays."""
 
-    j: int
-    n: int
-    X: mpf
-    a: tuple  # multiplies x^p sin(w x)
-    b: tuple  # multiplies x^p cos(w x)
-    c: tuple  # multiplies x^p sinh(w x)
-    d: tuple  # multiplies x^p cosh(w x)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        la, lc = len(self.a), len(self.c)
-        if not (la == len(self.b) >= 1 and lc == len(self.d) and lc <= la):
+    def __new__(cls, a, b, c, d):
+        la, lc = len(a), len(c)
+        if not (la == len(b) >= 1 and lc == len(d) and lc <= la):
             raise ValueError(
                 f"term arrays need len(a) == len(b) >= 1, len(c) == len(d) <= len(a); "
-                f"got {la}, {len(self.b)}, {lc}, {len(self.d)}")
-
-    def __hash__(self) -> int:
-        # computed on first use and stored: a frozen dataclass would hash
-        # every mpf of the arrays again at each cache lookup
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.j, self.n, self.X, self.a, self.b, self.c, self.d))
-            object.__setattr__(self, "_hash", h)
-        return h
+                f"got {la}, {len(b)}, {lc}, {len(d)}")
+        return super().__new__(cls, a, b, c, d)
 
 
 def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
@@ -70,9 +58,7 @@ def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
     with ctx.workprec():
         amp = mp.sqrt(2 / spec.X)
         lam0 = (n * mp.pi) ** 4 / spec.X ** 4
-        term = CorrectionTerm(j=0, n=n, X=spec.X,
-                              a=(amp,), b=(mpf(0),), c=(), d=())
-        return term, lam0
+        return CorrectionTerm((amp,), (mpf(0),), (), ()), lam0
 
 
 def _differentiate(arrays, w):
@@ -93,15 +79,16 @@ def _differentiate(arrays, w):
     )
 
 
-# Re-read only by one solution's point values (m + 1 terms) and a repeated
-# sweep of the same terms; 128 entries of about 0.2 MiB (rank 20) bound memory.
+# Measured re-readers: one solution's point values (m + 1 terms) and the
+# benchmark's repeated certify passes, whose equal terms share entries; a
+# sweep never re-reads one.  128 entries of about 0.2 MiB (rank 20) bound memory.
 @lru_cache(maxsize=128)
-def _derivative_arrays(term: CorrectionTerm, dps: int):
+def _derivative_arrays(term: CorrectionTerm, n: int, X, dps: int):
     """Coefficient arrays of the term and of its derivatives of orders 1..4,
-    indexed by order, at dps digits."""
+    indexed by order, at dps digits, in the basis of n and X."""
     with mp.workdps(dps):
-        w = mp.pi * term.n / term.X
-        orders = [(term.a, term.b, term.c, term.d)]
+        w = mp.pi * n / X
+        orders = [term]
         for _ in range(4):
             orders.append(_differentiate(orders[-1], w))
         return tuple(orders)
@@ -152,23 +139,22 @@ def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):
                      for v in (sin_wx, cos_wx, sinh_wx, cosh_wx))
 
 
-def _eval_terms(terms, x, deriv: int, ctx: PrecisionContext) -> mpf:
-    """Sum at x of the deriv-th derivatives of terms sharing n and X."""
-    if not 0 <= deriv <= 4:
-        raise ValueError("derivative order must be in 0..4")
-    first = terms[0]
+def _eval_terms(terms, n: int, X, x, deriv: int, ctx: PrecisionContext) -> mpf:
+    """Sum at x of the deriv-th derivatives of terms in the basis of n and X."""
+    if check_index(deriv, 0, "derivative order must be in 0..4") > 4:
+        raise ValueError(f"derivative order must be in 0..4, got {deriv}")
     with ctx.workprec():
         x = mpf(x)
-        if not 0 <= x <= first.X:
-            raise ValueError(f"x={x} outside [0, {first.X}]")
-        columns = basis_values(first.n, first.X, x, max(len(t.a) for t in terms) - 1, ctx)
-        return mp.fsum(series_dot(_derivative_arrays(t, mp.dps)[deriv], columns)
+        if not 0 <= x <= X:
+            raise ValueError(f"x={x} outside [0, {X}]")
+        columns = basis_values(n, X, x, max(len(t.a) for t in terms) - 1, ctx)
+        return mp.fsum(series_dot(_derivative_arrays(t, n, X, mp.dps)[deriv], columns)
                        for t in terms)
 
 
 @dataclass(frozen=True)
 class FDSolution:
-    """Rank-m approximation to one eigenpair: partial sums of the corrections."""
+    """Rank-m approximation to one eigenpair; its n and X fix every term's basis."""
 
     n: int
     m: int
@@ -179,17 +165,20 @@ class FDSolution:
     lambda_approx: mpf
 
 
-def assemble(terms, lambda_values, ctx: PrecisionContext) -> FDSolution:
-    """The solution of a correction history and its eigenvalue sum.
+def assemble(n: int, X, terms, lambda_values, ctx: PrecisionContext) -> FDSolution:
+    """The solution of a correction history in the basis of n and X, and its
+    eigenvalue sum.
 
     ``terms`` holds steps 0..m and ``lambda_values`` the base eigenvalue
     then lambda^(1..m), so the rank m is ``len(terms) - 1``.
     """
+    n = check_index(n, 1, "eigenpair index must be >= 1")
+    X = check_interval(X)
     terms, lambda_values = tuple(terms), tuple(lambda_values)
     if not terms or len(terms) != len(lambda_values):
         raise ValueError(f"need as many terms as eigenvalue entries, at least one; "
                          f"got {len(terms)} and {len(lambda_values)}")
-    return FDSolution(n=terms[0].n, m=len(terms) - 1, X=terms[0].X,
+    return FDSolution(n=n, m=len(terms) - 1, X=X,
                       lambda0=lambda_values[0],
                       lambda_corrections=lambda_values[1:],
                       terms=terms,
@@ -207,7 +196,7 @@ def lambda_partials(lambda_values, ctx: PrecisionContext) -> list:
 
 def eval_solution(sol: FDSolution, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:
     """Value of the rank-m eigenfunction approximation (or a derivative)."""
-    return _eval_terms(sol.terms, x, deriv, ctx)
+    return _eval_terms(sol.terms, sol.n, sol.X, x, deriv, ctx)
 
 
 # --- serialization -----------------------------------------------------------
@@ -222,13 +211,7 @@ def real_to_str(v, ctx: PrecisionContext) -> str:
 
 
 def _term_payload(term: CorrectionTerm, ctx: PrecisionContext) -> dict:
-    return {
-        "j": term.j,
-        "a": [real_to_str(v, ctx) for v in term.a],
-        "b": [real_to_str(v, ctx) for v in term.b],
-        "c": [real_to_str(v, ctx) for v in term.c],
-        "d": [real_to_str(v, ctx) for v in term.d],
-    }
+    return {f: [real_to_str(v, ctx) for v in arr] for f, arr in term._asdict().items()}
 
 
 def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
@@ -249,21 +232,20 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
 def solution_from_payload(payload: dict) -> FDSolution:
     """The solution a payload records, through :func:`assemble`, which forms
     the eigenvalue sum again.  Refused: n, m or X out of range, term or
-    correction counts other than the rank, and a term j not its position."""
+    correction counts other than the rank, and a lambda_approx other than
+    that sum.  A term's "j", written by older versions, is not read."""
     if payload.get("format") != "fdsl4-solution":
         raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
-    n = check_index(payload["n"], 1, "eigenpair index must be >= 1")
     m = check_index(payload["m"], 0, "rank must be >= 0")
     ranks = (len(payload["terms"]) - 1, len(payload["lambda_corrections"]))
     if ranks != (m, m):
         raise ValueError(f"rank {m} payload holds {ranks[0] + 1} terms and {ranks[1]} corrections")
-    steps = [tp["j"] for tp in payload["terms"]]
-    if steps != list(range(m + 1)):
-        raise ValueError(f"payload terms say j = {steps}, not 0..{m}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
-        X = check_interval(mpf(payload["X"]))
-        terms = [CorrectionTerm(j=k, n=n, X=X, **{f: tuple(map(mpf, tp[f])) for f in "abcd"})
-                 for k, tp in enumerate(payload["terms"])]
+        terms = [CorrectionTerm(*(tuple(map(mpf, tp[f])) for f in "abcd"))
+                 for tp in payload["terms"]]
         lambdas = [mpf(s) for s in [payload["lambda0"], *payload["lambda_corrections"]]]
-    return assemble(terms, lambdas, ctx)
+        sol = assemble(payload["n"], mpf(payload["X"]), terms, lambdas, ctx)
+        if mpf(payload["lambda_approx"]) != sol.lambda_approx:
+            raise ValueError(f"payload lambda_approx {payload['lambda_approx']} is not its sum")
+    return sol

@@ -42,8 +42,7 @@ def build_rhs(spec: ProblemSpec, n: int, terms, lambdas, ctx: PrecisionContext) 
     M1, M0 = spec.M(j + 1), spec.M(j)
     with ctx.workprec():
         w = mp.pi * n / spec.X
-        u = terms[j]
-        u0 = (u.a, u.b, u.c, u.d)
+        u0 = terms[j]
         u1 = _differentiate(u0, w)
         u2 = _differentiate(u1, w)
         # each F[k] is one dot product of the pairs in its row: -q_t against
@@ -51,8 +50,7 @@ def build_rhs(spec: ProblemSpec, n: int, terms, lambdas, ctx: PrecisionContext) 
         summands = [(-qt, t, arrays)
                     for q, arrays in ((spec.q0, u0), (spec.q1, u1), (spec.q2, u2))
                     for t, qt in enumerate(q) if qt]
-        summands += [(lambdas[j + 1 - s], 0, (terms[s].a, terms[s].b, terms[s].c, terms[s].d))
-                     for s in range(1, j + 1)]
+        summands += [(lambdas[j + 1 - s], 0, terms[s]) for s in range(1, j + 1)]
         return combine_series((M1, M1, M0, M0), summands)
 
 

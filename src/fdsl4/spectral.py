@@ -127,10 +127,9 @@ def solve(spec: ProblemSpec, n: int, m: int, ctx: PrecisionContext) -> FDSolutio
     terms, lambdas = [term0], [lam0]
     # the highest power any step reads is M(m), in the last step's closure
     table = moments(n, spec.X, spec.M(m), ctx)
-    for j in range(m):
+    for _ in range(m):
         step_rhs = build_rhs(spec, n, terms, lambdas, ctx)
         lambdas.append(lambda_correction(step_rhs, table, ctx))
         step_rhs = add_base_term(step_rhs, lambdas[-1], term0, ctx)
-        a, b, c, d = recursion.solve_step(n, step_rhs, table, ctx)
-        terms.append(CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d))
-    return assemble(terms, lambdas, ctx)
+        terms.append(CorrectionTerm(*recursion.solve_step(n, step_rhs, table, ctx)))
+    return assemble(n, spec.X, terms, lambdas, ctx)

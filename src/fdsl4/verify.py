@@ -132,7 +132,7 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
         R = S = ((), (), (), ())
         series = []
         for k, term in enumerate(sol.terms):
-            u = _derivative_arrays(term, mp.dps)
+            u = _derivative_arrays(term, sol.n, sol.X, mp.dps)
             summands = [(1, 0, R), (1, 0, u[4]), (-lam[k], 0, u[0])]
             summands += [(qt, t, u[order])
                          for q, order in ((spec.q2, 2), (spec.q1, 1), (spec.q0, 0))

@@ -36,9 +36,10 @@ def eval_series(arrays, n, X, x, ctx):
         return series_dot(arrays, basis_values(n, X, x, top, ctx))
 
 
-def eval_term(term, x, deriv=0, *, ctx):
-    """Value at x of the deriv-th derivative of one term, as eval_solution."""
-    return _eval_terms((term,), x, deriv, ctx)
+def eval_term(term, n, X, x, deriv=0, *, ctx):
+    """Value at x of the deriv-th derivative of one term in the basis of n and
+    X, as eval_solution."""
+    return _eval_terms((term,), n, X, x, deriv, ctx)
 
 
 @pytest.fixture(scope="session")

@@ -212,8 +212,9 @@ def _power_row(P, Q, t, w, signs):
             + s3 * 4 * w ** 3 * Q[t + 1]) * (t + 1)
 
 
-def power_matching_mismatch(spec, term, rhs, ctx, relative=False):
-    """Max |lhs - rhs| of the scalar power-matching relations for a term.
+def power_matching_mismatch(spec, n, term, rhs, ctx, relative=False):
+    """Max |lhs - rhs| of the scalar power-matching relations for a term of
+    eigenpair index n.
 
     Substituting the term into u'''' - lambda0 u and collecting x^t against
     each basis function must reproduce the rhs coefficient arrays for every
@@ -223,7 +224,7 @@ def power_matching_mismatch(spec, term, rhs, ctx, relative=False):
     absolute values of its summands.
     """
     with ctx.workprec():
-        w = mp.pi * term.n / term.X
+        w = mp.pi * n / spec.X
         worst = mpf(0)
         for p_name, q_name, f_index, signs in _EQUATIONS:
             P, Q = (getattr(term, k) + (mpf(0),) * 4 for k in (p_name, q_name))
@@ -457,7 +458,7 @@ def pointwise_residual_integrals(sol, spec, panels, ctx):
     with ctx.workprec():
         rule = QuadratureRule.build(sol.X, panels, NODES_PER_PANEL, ctx)
         lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
-        arrays = [_derivative_arrays(t, mp.dps) for t in sol.terms]
+        arrays = [_derivative_arrays(t, sol.n, sol.X, mp.dps) for t in sol.terms]
         top = max(len(t.a) for t in sol.terms) - 1
         acc = [mpf(0)] * (sol.m + 1)
         for x, w in zip(rule.nodes, rule.weights):

@@ -78,7 +78,7 @@ def test_criterion_3_benchmark1_errors(benchmark1, b1_solutions_m20, ctx300):
             lam_values = (full.lambda0,) + full.lambda_corrections
             exact = mpf(fx.b1_exact[n])
             for m in (10, 15, 20):
-                sol = assemble(full.terms[:m + 1], lam_values[:m + 1], ctx300)
+                sol = assemble(n, full.X, full.terms[:m + 1], lam_values[:m + 1], ctx300)
                 err = abs(exact - sol.lambda_approx)
                 ratio = err / mpf(fx.b1_fd_error[(n, m)])
                 off = max(ratio, 1 / ratio)
@@ -181,8 +181,8 @@ def _property_defects(spec, n, m, ctx):
         powers = mpf(0)
         for j, term in enumerate(sol.terms[1:], start=1):
             for x in (mpf(0), spec.X):
-                bc = max(bc, abs(eval_term(term, x, 0, ctx=ctx)),
-                         abs(eval_term(term, x, 2, ctx=ctx)))
+                bc = max(bc, abs(eval_term(term, n, spec.X, x, 0, ctx=ctx)),
+                         abs(eval_term(term, n, spec.X, x, 2, ctx=ctx)))
             ip = mpf(0)
             for t, (at, bt) in enumerate(zip(term.a, term.b)):
                 ip += table.alpha[t] * at + table.beta[t] * bt
@@ -193,11 +193,11 @@ def _property_defects(spec, n, m, ctx):
             step = step_rhs(spec, sol, j, ctx)
             solv = max(solv, abs(lambda_correction(step, table, ctx)))
             term = sol.terms[j + 1]
-            powers = max(powers, power_matching_mismatch(spec, term, step, ctx))
+            powers = max(powers, power_matching_mismatch(spec, n, term, step, ctx))
             for _ in range(100):
                 x = spec.X * mpf(rng.random())
-                lhs = eval_term(term, x, 4, ctx=ctx) \
-                    - sol.lambda0 * eval_term(term, x, ctx=ctx)
+                lhs = eval_term(term, n, spec.X, x, 4, ctx=ctx) \
+                    - sol.lambda0 * eval_term(term, n, spec.X, x, ctx=ctx)
                 ode = max(ode, abs(lhs - eval_series(step, n, spec.X, x, ctx)))
         return {"boundary": bc, "orthogonality": ortho,
                 "solvability": solv, "ode_residual": ode, "power_matching": powers}
@@ -313,7 +313,7 @@ def test_criterion_6_diagnostics(benchmark1, benchmark2, b1_solutions_m20,
             lam_values = (full.lambda0,) + full.lambda_corrections
             exact = mpf(fx.b1_exact[n])
             for m in (10, 15, 20):
-                sol = assemble(full.terms[:m + 1], lam_values[:m + 1], ctx300)
+                sol = assemble(n, full.X, full.terms[:m + 1], lam_values[:m + 1], ctx300)
                 if not abs(exact - sol.lambda_approx) <= report.lambda_bound(m):
                     problems.append(f"benchmark1 bound violated n={n} m={m}")
 
@@ -323,7 +323,7 @@ def test_criterion_6_diagnostics(benchmark1, benchmark2, b1_solutions_m20,
             deep = solve(benchmark2, n, 14, ctx300)
             lam_values = (deep.lambda0,) + deep.lambda_corrections
             for m in (5, 8, 10):
-                sol = assemble(deep.terms[:m + 1], lam_values[:m + 1], ctx300)
+                sol = assemble(n, deep.X, deep.terms[:m + 1], lam_values[:m + 1], ctx300)
                 observed = abs(deep.lambda_approx - sol.lambda_approx)
                 if not observed <= report.lambda_bound(m):
                     problems.append(f"benchmark2 bound violated n={n} m={m}")
@@ -352,7 +352,7 @@ def _tail_norm(deep, m, ctx):
         for x, w in zip(rule.nodes, rule.weights):
             tail = mpf(0)
             for term in deep.terms[m + 1:]:
-                tail += eval_term(term, x, ctx=ctx)
+                tail += eval_term(term, deep.n, deep.X, x, ctx=ctx)
             acc += w * tail * tail
         return mp.sqrt(acc)
 
@@ -403,7 +403,7 @@ def test_criterion_8_exponential_rates(benchmark1, b1_solutions_m20,
         for n in (1, 8):
             full = b1_solutions_m20[n]
             lam_values = (full.lambda0,) + full.lambda_corrections
-            sol10 = assemble(full.terms[:11], lam_values[:11], ctx300)
+            sol10 = assemble(n, full.X, full.terms[:11], lam_values[:11], ctx300)
             deltas = residual_sweep(sol10, benchmark1, ctx300)
             xs = list(range(1, 11))
             ys = [mp.log(deltas[m]) for m in xs]

@@ -45,7 +45,7 @@ def test_base_normalization():
     spec = ProblemSpec.make(3, [0, 0], [0], [0], CTX)
     term, _ = base_pair(spec, 2, CTX)
     rule = QuadratureRule.build(spec.X, 16, 20, CTX)
-    norm = rule.integrate(lambda x: eval_term(term, x, ctx=CTX) ** 2, CTX)
+    norm = rule.integrate(lambda x: eval_term(term, 2, spec.X, x, ctx=CTX) ** 2, CTX)
     with CTX.workprec():
         assert abs(norm - 1) < mpf(10) ** -100
 
@@ -60,7 +60,7 @@ def test_eval_base_midpoint():
     spec = ProblemSpec.make(1, [0, 0], [0], [0], CTX)
     term, _ = base_pair(spec, 1, CTX)
     with CTX.workprec():
-        v = eval_term(term, mpf(1) / 2, ctx=CTX)
+        v = eval_term(term, 1, spec.X, mpf(1) / 2, ctx=CTX)
         assert abs(v - mp.sqrt(2)) < mpf(10) ** -115
 
 
@@ -69,9 +69,13 @@ def test_eval_rejects_outside_interval():
     term, _ = base_pair(spec, 1, CTX)
     for x in (1.5, mp.nan):
         with pytest.raises(ValueError):
-            eval_term(term, x, ctx=CTX)
+            eval_term(term, 1, spec.X, x, ctx=CTX)
     with pytest.raises(ValueError):
-        eval_term(term, 0.5, 5, ctx=CTX)
+        eval_term(term, 1, spec.X, 0.5, 5, ctx=CTX)
+    # a float order used to reach the derivative cache and fail there, as
+    # "tuple indices must be integers or slices, not float"
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        eval_term(term, 1, spec.X, 0.5, 2.0, ctx=CTX)
 
 
 def test_fourth_derivative_of_base_is_scaled_base():
@@ -80,8 +84,8 @@ def test_fourth_derivative_of_base_is_scaled_base():
     with CTX.workprec():
         for xs in ("0.1", "0.77", "1.9"):
             x = mpf(xs)
-            lhs = eval_term(term, x, 4, ctx=CTX)
-            rhs = lam0 * eval_term(term, x, ctx=CTX)
+            lhs = eval_term(term, 3, spec.X, x, 4, ctx=CTX)
+            rhs = lam0 * eval_term(term, 3, spec.X, x, ctx=CTX)
             assert abs(lhs - rhs) < mpf(10) ** -100
 
 
@@ -90,8 +94,8 @@ def test_boundary_conditions_of_computed_terms(x_solution):
         tol = mpf(10) ** -(CTX.digits - 20)
         for term in x_solution.terms[1:]:
             for x in (mpf(0), x_solution.X):
-                assert abs(eval_term(term, x, 0, ctx=CTX)) < tol
-                assert abs(eval_term(term, x, 2, ctx=CTX)) < tol
+                assert abs(eval_term(term, 1, x_solution.X, x, 0, ctx=CTX)) < tol
+                assert abs(eval_term(term, 1, x_solution.X, x, 2, ctx=CTX)) < tol
 
 
 def test_orthogonality_of_computed_terms(x_potential, x_solution):
@@ -117,9 +121,9 @@ def test_derivative_matches_central_difference(x_solution):
             for xs in ("0.31", "0.62"):
                 x = mpf(xs)
                 term = x_solution.terms[3]
-                fd = (eval_term(term, x + h, deriv - 1, ctx=CTX)
-                      - eval_term(term, x - h, deriv - 1, ctx=CTX)) / (2 * h)
-                exact = eval_term(term, x, deriv, ctx=CTX)
+                fd = (eval_term(term, 1, x_solution.X, x + h, deriv - 1, ctx=CTX)
+                      - eval_term(term, 1, x_solution.X, x - h, deriv - 1, ctx=CTX)) / (2 * h)
+                exact = eval_term(term, 1, x_solution.X, x, deriv, ctx=CTX)
                 assert abs(fd - exact) <= abs(exact) * mpf(10) ** -8 + mpf(10) ** -25
 
 
@@ -134,40 +138,40 @@ def test_reflection_parity_x_potential(x_potential):
                 sign = sign_even_step if j % 2 == 0 else sign_odd_step
                 for xs in ("0.13", "0.39", "0.41"):
                     x = mpf(xs)
-                    left = eval_term(term, 1 - x, ctx=CTX)
-                    right = sign * eval_term(term, x, ctx=CTX)
+                    left = eval_term(term, n, sol.X, 1 - x, ctx=CTX)
+                    right = sign * eval_term(term, n, sol.X, x, ctx=CTX)
                     assert abs(left - right) < tol
 
 
 def test_assemble_rank0(x_solution):
-    sol0 = assemble(x_solution.terms[:1], (x_solution.lambda0,), CTX)
+    sol0 = assemble(1, x_solution.X, x_solution.terms[:1], (x_solution.lambda0,), CTX)
     assert sol0.m == 0
     assert sol0.lambda_approx == sol0.lambda0
     assert sol0.lambda_corrections == ()
 
 
 def test_assemble_rank1_is_base_plus_half(x_solution):
-    sol1 = assemble(x_solution.terms[:2], (x_solution.lambda0,) + x_solution.lambda_corrections[:1],
-                    CTX)
+    sol1 = assemble(1, x_solution.X, x_solution.terms[:2],
+                    (x_solution.lambda0,) + x_solution.lambda_corrections[:1], CTX)
     with CTX.workprec():
         assert abs(sol1.lambda_approx - (mp.pi ** 4 + mpf(1) / 2)) < mpf(10) ** -110
 
 
 def test_assemble_requires_enough_entries(x_solution):
     with pytest.raises(ValueError):
-        assemble(x_solution.terms[:2], (x_solution.lambda0,), CTX)
+        assemble(1, x_solution.X, x_solution.terms[:2], (x_solution.lambda0,), CTX)
     lambdas = (x_solution.lambda0,) + x_solution.lambda_corrections
     with pytest.raises(ValueError, match="as many terms as eigenvalue entries"):
-        assemble(x_solution.terms, lambdas[:-1], CTX)
+        assemble(1, x_solution.X, x_solution.terms, lambdas[:-1], CTX)
     with pytest.raises(ValueError, match="at least one"):
-        assemble((), (), CTX)
+        assemble(1, x_solution.X, (), (), CTX)
 
 
 def test_eval_solution_sums_terms(x_solution):
     with CTX.workprec():
         x = mpf("0.37")
         total = eval_solution(x_solution, x, ctx=CTX)
-        by_hand = sum(eval_term(t, x, ctx=CTX) for t in x_solution.terms)
+        by_hand = sum(eval_term(t, 1, x_solution.X, x, ctx=CTX) for t in x_solution.terms)
         assert abs(total - by_hand) < mpf(10) ** -110
 
 
@@ -184,9 +188,8 @@ def test_serialization_roundtrip(x_solution):
     assert isinstance(payload["lambda_approx"], str)
 
 
-def _term(a, b, c, d, n=1, X=1):
-    return CorrectionTerm(j=1, n=n, X=mpf(X), a=tuple(map(mpf, a)), b=tuple(map(mpf, b)),
-                          c=tuple(map(mpf, c)), d=tuple(map(mpf, d)))
+def _term(a, b, c, d):
+    return CorrectionTerm(*(tuple(map(mpf, arr)) for arr in (a, b, c, d)))
 
 
 def test_term_rejects_mismatched_arrays():
@@ -239,13 +242,21 @@ def test_payload_with_bad_interval_rejected(x_solution):
             solution_from_payload(payload)
 
 
-def test_payload_with_misnumbered_terms_rejected(x_solution):
-    # a payload whose terms all said j = 7 used to load
+def test_payload_with_wrong_lambda_approx_rejected(x_solution):
+    # a recorded lambda_approx of "0" used to load and report the sum instead
     payload = solution_to_payload(x_solution, CTX)
-    for tp in payload["terms"]:
-        tp["j"] = 7
-    with pytest.raises(ValueError, match=r"terms say j = \[7, 7, 7, 7, 7, 7, 7\], not 0..6"):
+    payload["lambda_approx"] = "0"
+    with pytest.raises(ValueError, match="lambda_approx 0 is not its sum"):
         solution_from_payload(payload)
+
+
+def test_payload_with_term_steps_loads(x_solution):
+    # older versions wrote each term's step as "j"; such a payload loads alike
+    payload = solution_to_payload(x_solution, CTX)
+    assert all("j" not in tp for tp in payload["terms"])
+    for j, tp in enumerate(payload["terms"]):
+        tp["j"] = j
+    assert solution_from_payload(payload) == x_solution
 
 
 def test_payload_with_other_format_rejected(x_solution):
@@ -259,8 +270,8 @@ def test_derivative_arrays_are_repeated_differentiation(x_solution):
     # entry k of the cached tuple is _differentiate applied k times, k = 0..4
     for term in x_solution.terms[:4]:
         with CTX.workprec():
-            w = mp.pi * term.n / term.X
-            orders = _derivative_arrays(term, mp.dps)
+            w = mp.pi * x_solution.n / x_solution.X
+            orders = _derivative_arrays(term, x_solution.n, x_solution.X, mp.dps)
             assert len(orders) == 5
             for k in range(5):
                 arrays = (term.a, term.b, term.c, term.d)
@@ -312,20 +323,17 @@ def test_basis_values_hyperbolic_columns_exact(n, X, x):
         assert cosh_col == tuple(mp.cosh(wx) * xp for xp in powers)
 
 
-def test_equal_terms_hash_once_and_share_a_cache_entry(x_solution):
-    # the hash is stored on first use; equal terms built apart hash equal and
-    # hit one derivative-cache entry
+def test_equal_terms_share_a_cache_entry(x_solution):
+    # equal terms built apart hash equal and hit one derivative-cache entry
     term = x_solution.terms[3]
     with CTX.workprec():
-        a, b, c, d = (tuple(map(mpf, arr)) for arr in (term.a, term.b, term.c, term.d))
-    twin = CorrectionTerm(j=term.j, n=term.n, X=term.X, a=a, b=b, c=c, d=d)
+        twin = CorrectionTerm(*(tuple(map(mpf, arr)) for arr in term))
     assert twin == term and twin.a[0] is not term.a[0]
-    assert hash(twin) == hash(term) == hash(term)
-    assert term.__dict__["_hash"] == hash(term)
+    assert hash(twin) == hash(term)
     _derivative_arrays.cache_clear()
     with CTX.workprec():
-        first = _derivative_arrays(term, mp.dps)
-        assert _derivative_arrays(twin, mp.dps) is first
+        first = _derivative_arrays(term, 1, x_solution.X, mp.dps)
+        assert _derivative_arrays(twin, 1, x_solution.X, mp.dps) is first
     info = _derivative_arrays.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
@@ -346,7 +354,7 @@ def test_eval_term_matches_horner(X, n, trig_len, hyp_len, deriv, rng):
         arrays = tuple(tuple(rng.choice((-1, 1)) * mpf(rng.randint(1, 10 ** 6)) / 10 ** 6
                              for _ in range(size))
                        for size in (trig_len, trig_len, hyp_len, hyp_len))
-        term = CorrectionTerm(j=1, n=n, X=X, a=arrays[0], b=arrays[1], c=arrays[2], d=arrays[3])
+        term = CorrectionTerm(*arrays)
         x = X * mpf(rng.randint(0, 10 ** 6)) / 10 ** 6
         w = mp.pi * n / X
         for _ in range(deriv):
@@ -355,5 +363,5 @@ def test_eval_term_matches_horner(X, n, trig_len, hyp_len, deriv, rng):
         want = horner_series(arrays, x, basis)
         size = horner_series(tuple(tuple(map(abs, arr)) for arr in arrays), x,
                              tuple(map(abs, basis)))
-        got = eval_term(term, x, deriv, ctx=CTX)
+        got = eval_term(term, n, X, x, deriv, ctx=CTX)
         assert abs(got - want) <= mpf(10) ** -(CTX.digits - 10) * size

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from fdsl4 import (PrecisionContext, base_pair, convergence_report,
+from fdsl4 import (PrecisionContext, assemble, base_pair, convergence_report, eval_solution,
                    galerkin_nearest_eigenvalue, matching_digits, moments, solve)
 from fdsl4.corrections import solution_from_payload, solution_to_payload
 
@@ -74,6 +74,9 @@ ENTRIES = {
     "solve-n": (lambda spec, v: solve(spec, v, 2, CTX60), 1, INDEX),
     "solve-m": (lambda spec, v: solve(spec, 1, v, CTX60), 0, RANK),
     "convergence_report": (lambda spec, v: convergence_report(spec, v, CTX60), 1, INDEX),
+    "assemble": (lambda spec, v: assemble(v, spec.X, *_history(spec), CTX60), 1, INDEX),
+    "eval_solution": (lambda spec, v: eval_solution(solve(spec, 1, 1, CTX60), "0.5", v, ctx=CTX60),
+                      0, "derivative order must be in 0..4"),
     "payload-n": (lambda spec, v: _load_edited(spec, "n", v), 1, INDEX),
     "payload-m": (lambda spec, v: _load_edited(spec, "m", v), 0, RANK),
     "lambda_bound": (lambda spec, v: convergence_report(spec, 3, CTX60).lambda_bound(v), 0, RANK),
@@ -83,6 +86,12 @@ ENTRIES = {
     "PrecisionContext":
         (lambda spec, v: PrecisionContext(v), 30, "working precision must be at least 30 digits"),
 }
+
+
+def _history(spec):
+    """The terms and eigenvalue entries of a rank-1 solve for n = 1."""
+    sol = solve(spec, 1, 1, CTX60)
+    return sol.terms, (sol.lambda0,) + sol.lambda_corrections
 
 
 def _load_edited(spec, field, v):

@@ -42,6 +42,12 @@ def test_moment_table_interface_pinned():
         ("X", "alpha", "beta", "eta", "mu", "at_X")
 
 
+def test_correction_term_fields_pinned():
+    # bench/workloads.hinge_values and tools/compare_cases.digest read a
+    # term's arrays by these names
+    assert fdsl4.CorrectionTerm._fields == ("a", "b", "c", "d")
+
+
 def test_derivative_cache_interface_pinned():
     # bench/stagetrace.py reports corrections._derivative_arrays.cache_info()
     from fdsl4 import corrections

@@ -190,7 +190,7 @@ def test_power_matching_relations(benchmark1):
     with CTX.workprec():
         for j in range(m):
             rhs = step_rhs(benchmark1, sol, j, CTX)
-            mismatch = power_matching_mismatch(benchmark1, sol.terms[j + 1], rhs, CTX)
+            mismatch = power_matching_mismatch(benchmark1, n, sol.terms[j + 1], rhs, CTX)
             assert mismatch < mpf(10) ** -(CTX.digits - 20)
 
 
@@ -206,7 +206,8 @@ def test_ode_step_residual_pointwise(benchmark1):
             term = sol.terms[j + 1]
             for _ in range(100):
                 x = benchmark1.X * mpf(rng.random())
-                lhs = eval_term(term, x, 4, ctx=CTX) - sol.lambda0 * eval_term(term, x, ctx=CTX)
+                lhs = (eval_term(term, n, benchmark1.X, x, 4, ctx=CTX)
+                       - sol.lambda0 * eval_term(term, n, benchmark1.X, x, ctx=CTX))
                 assert abs(lhs - eval_series(rhs, n, benchmark1.X, x, CTX)) < tol
 
 
@@ -219,18 +220,18 @@ def _size_derivative(arrays, w):
     return step(a, b), step(b, a), step(c, d), step(d, c)
 
 
-def _boundary_defects(term, ctx):
+def _boundary_defects(term, n, X, ctx):
     """|u(x)|, |u''(x)| at x = 0, X, each over the sum of |summands| in it."""
     with ctx.workprec():
-        w = mp.pi * term.n / term.X
+        w = mp.pi * n / X
         defects = []
-        for x in (mpf(0), term.X):
+        for x in (mpf(0), X):
             basis = tuple(abs(f(w * x)) for f in (mp.sin, mp.cos, mp.sinh, mp.cosh))
             sizes = tuple(tuple(abs(v) for v in arr) for arr in (term.a, term.b, term.c, term.d))
             for order in (0, 2):
                 if order:
                     sizes = _size_derivative(_size_derivative(sizes, w), w)
-                value = abs(eval_term(term, x, order, ctx=ctx))
+                value = abs(eval_term(term, n, X, x, order, ctx=ctx))
                 defects.append(value / horner_series(sizes, x, basis) if value else value)
         return defects
 
@@ -257,11 +258,11 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
     rhs = (f_sin, f_cos, f_sinh, f_cosh)
     rhs = add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX)
     a, b, c, d = solve_step(n, rhs, table, CTX)
-    term = CorrectionTerm(j=j + 1, n=n, X=spec.X, a=a, b=b, c=c, d=d)
+    term = CorrectionTerm(a, b, c, d)
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 30)
-        assert power_matching_mismatch(spec, term, rhs, CTX, relative=True) < tol
-        assert all(defect < tol for defect in _boundary_defects(term, CTX))
+        assert power_matching_mismatch(spec, n, term, rhs, CTX, relative=True) < tol
+        assert all(defect < tol for defect in _boundary_defects(term, n, spec.X, CTX))
         products = [m[t] * v for m, arr in ((table.alpha, a), (table.beta, b),
                                             (table.mu, c), (table.eta, d))
                     for t, v in enumerate(arr)]

@@ -61,17 +61,17 @@ def test_missing_history_raises():
         build_rhs(spec, 1, sol.terms, [sol.lambda0], CTX)
 
 
-def _pointwise_rhs(spec, j, terms, lambdas, x):
+def _pointwise_rhs(spec, n, j, terms, lambdas, x):
     """F + lambda^(j+1) u^(0) evaluated directly from its definition."""
     with CTX.workprec():
         x = mpf(x)
         total = mpf(0)
         for p in range(j + 1):
-            total += lambdas[j + 1 - p] * eval_term(terms[p], x, ctx=CTX)
+            total += lambdas[j + 1 - p] * eval_term(terms[p], n, spec.X, x, ctx=CTX)
         term = terms[j]
-        total -= mp.polyval(spec.q2[::-1], x) * eval_term(term, x, 2, ctx=CTX)
-        total -= mp.polyval(spec.q1[::-1], x) * eval_term(term, x, 1, ctx=CTX)
-        total -= mp.polyval(spec.q0[::-1], x) * eval_term(term, x, 0, ctx=CTX)
+        total -= mp.polyval(spec.q2[::-1], x) * eval_term(term, n, spec.X, x, 2, ctx=CTX)
+        total -= mp.polyval(spec.q1[::-1], x) * eval_term(term, n, spec.X, x, 1, ctx=CTX)
+        total -= mp.polyval(spec.q0[::-1], x) * eval_term(term, n, spec.X, x, 0, ctx=CTX)
         return total
 
 
@@ -85,8 +85,8 @@ def test_benchmark1_pointwise_reconstruction(benchmark1):
         tol = mpf(10) ** -(CTX.digits - 20)
         for _ in range(50):
             x = spec.X * mpf(rng.random())
-            direct = _pointwise_rhs(spec, 0, [term0], [None, lam1], x)
-            grouped = eval_series(rhs, term0.n, spec.X, x, CTX)
+            direct = _pointwise_rhs(spec, 1, 0, [term0], [None, lam1], x)
+            grouped = eval_series(rhs, 1, spec.X, x, CTX)
             assert abs(direct - grouped) < tol
 
 
@@ -103,7 +103,7 @@ def test_pointwise_reconstruction_deep_steps(benchmark1):
             rhs = step_rhs(spec, sol, j, CTX)
             for _ in range(25):
                 x = spec.X * mpf(rng.random())
-                direct = _pointwise_rhs(spec, j, sol.terms, lambdas, x)
+                direct = _pointwise_rhs(spec, n, j, sol.terms, lambdas, x)
                 grouped = eval_series(rhs, n, spec.X, x, CTX)
                 assert abs(direct - grouped) < tol
 
@@ -134,7 +134,8 @@ def test_solvability_by_quadrature(benchmark1):
     rhs, lam1, base, _ = _step0(spec, 3)
     rule = QuadratureRule.build(spec.X, 128, 20, CTX)
     ip = rule.integrate(
-        lambda x: eval_series(rhs, base.n, spec.X, x, CTX) * eval_term(base, x, ctx=CTX), CTX)
+        lambda x: eval_series(rhs, 3, spec.X, x, CTX) * eval_term(base, 3, spec.X, x, ctx=CTX),
+        CTX)
     with CTX.workprec():
         assert abs(ip + lam1) < mpf(10) ** -100
 
@@ -189,6 +190,6 @@ def test_dot_products_match_sequential_random(X, n, j, rng):
         for s in range(1, j + 1):
             a, b = (_random_entries(rng, spec.M(s) + 1) for _ in range(2))
             c, d = (_random_entries(rng, spec.M(s - 1) + 1) for _ in range(2))
-            terms.append(CorrectionTerm(j=s, n=n, X=spec.X, a=a, b=b, c=c, d=d))
+            terms.append(CorrectionTerm(a, b, c, d))
         lambdas = (lam0,) + _random_entries(rng, j)
     _assert_matches_sequential(spec, n, j, terms, lambdas, CTX)
