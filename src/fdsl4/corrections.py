@@ -19,7 +19,8 @@ one tuple.  Every linear functional of a series (a moment projection, a
 point value) is one exactly rounded dot product of its four arrays with the
 functional's four columns, :func:`series_dot`, and every polynomial
 combination of series (a right-hand side, a residual) is one such dot
-product per coefficient, :func:`combine_series`.
+product per coefficient, :func:`combine_series`, both through the kernel
+:func:`fdsl4.numerics._dot`: the exact sum, rounded once, as ``mp.fdot``.
 
 The base eigenpair of the hinged problem with zero potentials is
 sqrt(2/X) sin(n pi x / X) with eigenvalue (n pi / X)^4; it seeds the
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_mul_int, mpf_sub, round_nearest
 
-from .numerics import GUARD_DIGITS, PrecisionContext, check_index, check_interval
+from .numerics import GUARD_DIGITS, PrecisionContext, _dot, check_index, check_interval
 from .problem import ProblemSpec
 
 
@@ -50,6 +52,11 @@ class CorrectionTerm(namedtuple("CorrectionTerm", "a b c d")):
                 f"term arrays need len(a) == len(b) >= 1, len(c) == len(d) <= len(a); "
                 f"got {la}, {len(b)}, {lc}, {len(d)}")
         return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, iterable):
+        """A term through ``__new__`` and its check; ``_replace`` builds through this."""
+        return cls(*iterable)
 
 
 def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
@@ -67,16 +74,19 @@ def _differentiate(arrays, w):
     One differentiation sends (a, b, c, d) to
         a'[p] = (p+1) a[p+1] - w b[p],     b'[p] = (p+1) b[p+1] + w a[p],
         c'[p] = (p+1) c[p+1] + w d[p],     d'[p] = (p+1) d[p+1] + w c[p],
-    keeping the array lengths fixed.  Runs at the caller's precision.
+    keeping the array lengths fixed.  Three roundings per entry, at the
+    caller's precision: (p+1) a[p+1], w b[p] and their sum.
     """
+    prec, rnd, make, w = mp.prec, round_nearest, mp.make_mpf, w._mpf_
+
+    def family(arr, partner, add):
+        arr = [v._mpf_ for v in arr] + [fzero]
+        return tuple(make(add(mpf_mul_int(arr[p + 1], p + 1, prec, rnd),
+                              mpf_mul(w, partner[p]._mpf_, prec, rnd), prec, rnd))
+                     for p in range(len(arr) - 1))
+
     a, b, c, d = arrays
-    la, lc = len(a), len(c)
-    return (
-        tuple((a[p + 1] * (p + 1) if p + 1 < la else mpf(0)) - w * b[p] for p in range(la)),
-        tuple((b[p + 1] * (p + 1) if p + 1 < la else mpf(0)) + w * a[p] for p in range(la)),
-        tuple((c[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * d[p] for p in range(lc)),
-        tuple((d[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * c[p] for p in range(lc)),
-    )
+    return family(a, b, mpf_sub), family(b, a, mpf_add), family(c, d, mpf_add), family(d, c, mpf_add)
 
 
 # Measured re-readers: one solution's point values (m + 1 terms) and the
@@ -98,12 +108,12 @@ def series_dot(arrays, columns) -> mpf:
     """Pair a (sin, cos, sinh, cosh) series with the four columns of a linear
     functional: the sum over families and powers p of arrays[f][p] * columns[f][p].
 
-    One exactly rounded dot product at the caller's precision.  The columns
-    are indexed explicitly, so a column shorter than its array raises
-    ``IndexError``.
+    One exactly rounded dot product at the caller's precision; an entry may
+    be a Python int.  The columns are indexed explicitly, so a column shorter
+    than its array raises ``IndexError``.
     """
-    return mp.fdot((v, column[p]) for arr, column in zip(arrays, columns)
-                   for p, v in enumerate(arr))
+    return _dot((mp.convert(v)._mpf_, column[p]._mpf_) for arr, column in zip(arrays, columns)
+                for p, v in enumerate(arr))
 
 
 def combine_series(sizes, summands) -> tuple:
@@ -112,14 +122,17 @@ def combine_series(sizes, summands) -> tuple:
     ``summands`` holds (coeff, shift, arrays) triples, the arrays ordered
     (sin, cos, sinh, cosh) like a term's; ``sizes`` gives the four result
     lengths.  Each coefficient is one exactly rounded dot product of the
-    pairs that land on it, taken in summand order, at the caller's precision.
+    pairs that land on it, taken in summand order, at the caller's precision;
+    pairs with an exactly zero entry add nothing to it and are left out.
     """
     rows = tuple([[] for _ in range(size)] for size in sizes)
     for coeff, shift, arrays in summands:
+        coeff = mp.convert(coeff)._mpf_
         for family, arr in zip(rows, arrays):
             for p, v in enumerate(arr):
-                family[p + shift].append((coeff, v))
-    return tuple(tuple(map(mp.fdot, family)) for family in rows)
+                if v._mpf_ != fzero:
+                    family[p + shift].append((coeff, v._mpf_))
+    return tuple(tuple(map(_dot, family)) for family in rows)
 
 
 def basis_values(n: int, X, x, top: int, ctx: PrecisionContext):

@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 # Extra decimal digits carried internally so that results are good to the
 # context's nominal precision after accumulated rounding.
@@ -63,6 +64,12 @@ def check_interval(X):
     if not 0 < X < mp.inf:
         raise ValueError("interval length X must be positive and finite")
     return X
+
+
+def _dot(pairs) -> mpf:
+    """Sum of x * y over pairs of raw mpmath values (``v._mpf_``), rounded once
+    to the working precision: ``mp.fdot``'s bits, without its per-pair dispatch."""
+    return mp.make_mpf(mpf_sum([mpf_mul(x, y) for x, y in pairs], mp.prec, round_nearest))
 
 
 def matching_digits(value, reference, ctx: PrecisionContext) -> int:

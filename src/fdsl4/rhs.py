@@ -15,7 +15,8 @@ order of the term arrays (a, b, c, d), of
 parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; then
 each coefficient, the polynomial convolution with q0, q1 and q2 plus the
 eigenvalue sum over the earlier corrections, is one exactly rounded dot
-product (``mp.fdot``).  The newest correction lambda^(j+1) is not known yet: it
+product (the kernel :func:`fdsl4.numerics._dot`, with ``mp.fdot``'s bits).
+The newest correction lambda^(j+1) is not known yet: it
 is minus the projection of F onto the base eigenfunction
 (:meth:`fdsl4.spectral.MomentTable.project`), and since u^(0) is a multiple
 of sin it enters through f_sin[0] alone.

@@ -27,10 +27,11 @@ instruments:
   recursion (right-hand side, recurrences, closure), and the eigenvalue
   comes from another method.
 
-Every float sum is the solver's own primitive, one exactly rounded dot
-product (``mp.fdot``): a residual coefficient, a residual integral and a
-Galerkin entry.  Exact sums of products run on Python integers scaled to a
-binary exponent set by the largest entry, with mp.prec + GUARD_BITS bits
+Every float sum is one exactly rounded dot product: a residual coefficient
+through the solver's kernel (:func:`fdsl4.numerics._dot`), a residual
+integral and a Galerkin entry through ``mp.fdot``, which gives the same
+bits.  Exact sums of products run on Python integers scaled to a binary
+exponent set by the largest entry, with mp.prec + GUARD_BITS bits
 below it: the residual's polynomial products, each family at its own
 exponent, and the oracle's dense algebra, where the shifted matrix shares
 one.  Each L or U entry of the left-looking LU and each row of the

@@ -7,7 +7,9 @@ relations instead of the walks, a closed-form eigenvalue correction instead
 of the moment-table projection, the closed-form moment sums instead of the
 exponential-moment recurrences, sequential multiply-adds instead of one dot
 product per right-hand-side coefficient, Horner loops instead of one dot
-product per point value, the Catalan majorants and the majorant-chain
+product per point value, the mpf-object derivative map and recurrence walk
+with one ``mp.fdot`` per row that the raw-value kernel replaced (the same
+bits, not another method), the Catalan majorants and the majorant-chain
 envelope of the eigenvalue corrections, an mpf Crout LU with one ``fdot`` per
 entry instead of the Galerkin oracle's scaled integers, a residual integrand
 evaluated term by term at each node of a Gauss-Legendre rule instead of the
@@ -20,8 +22,8 @@ from math import comb
 
 from mpmath import mp, mpf
 
-from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values, lambda_partials,
-                               series_dot)
+from fdsl4.corrections import _derivative_arrays, basis_values, lambda_partials, series_dot
+from fdsl4.recursion import closure_index0
 from fdsl4.spectral import MomentTable
 from fdsl4.verify import QuadratureRule
 
@@ -46,6 +48,50 @@ def horner_series(arrays, x, basis):
     return trig + hyp
 
 
+def differentiate_mpf(arrays, w):
+    """:func:`fdsl4.corrections._differentiate` in mpf objects, the same three
+    roundings per entry: (p+1) a[p+1], w b[p] and their sum."""
+    a, b, c, d = arrays
+    la, lc = len(a), len(c)
+    return (
+        tuple((a[p + 1] * (p + 1) if p + 1 < la else mpf(0)) - w * b[p] for p in range(la)),
+        tuple((b[p + 1] * (p + 1) if p + 1 < la else mpf(0)) + w * a[p] for p in range(la)),
+        tuple((c[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * d[p] for p in range(lc)),
+        tuple((d[p + 1] * (p + 1) if p + 1 < lc else mpf(0)) + w * c[p] for p in range(lc)),
+    )
+
+
+def solve_step_fdot(n, rhs, moments, ctx):
+    """:func:`fdsl4.recursion.solve_step` in mpf objects, one ``mp.fdot`` of
+    the same four pairs per row, and the same closure."""
+    f_sin, f_cos, f_sinh, f_cosh = rhs
+    M1, M0 = len(f_sin), len(f_sinh)
+    fdot = mp.fdot
+    with ctx.workprec():
+        iw = moments.X / (mp.pi * n)
+        k1, k2, k3 = 3 * iw / 2, iw ** 2, iw ** 3 / 4
+        a, b = [mpf(0)] * (M1 + 4), [mpf(0)] * (M1 + 4)
+        c, d = [mpf(0)] * (M0 + 4), [mpf(0)] * (M0 + 4)
+        for t in range(M1, 0, -1):
+            r11, r12 = k1 * (t + 1), k2 * ((t + 2) * (t + 1))
+            r13, s = k3 * ((t + 3) * (t + 2) * (t + 1)), k3 / t
+            n11, n12, n13 = -r11, -r12, -r13
+            a[t] = fdot(((n11, b[t + 1]), (r12, a[t + 2]), (r13, b[t + 3]), (-s, f_cos[t - 1])))
+            b[t] = fdot(((r11, a[t + 1]), (r12, b[t + 2]), (n13, a[t + 3]), (s, f_sin[t - 1])))
+            if t <= M0:
+                c[t] = fdot(((n11, d[t + 1]), (n12, c[t + 2]), (n13, d[t + 3]), (s, f_cosh[t - 1])))
+                d[t] = fdot(((n11, c[t + 1]), (n12, d[t + 2]), (n13, c[t + 3]), (s, f_sinh[t - 1])))
+        del a[M1 + 1:], b[M1 + 1:], c[M0 + 1:], d[M0 + 1:]
+    a[0], b[0], c[0], d[0] = closure_index0(n, a, b, c, d, moments, ctx)
+    return tuple(a), tuple(b), tuple(c), tuple(d)
+
+
+def raw_bits(arrays):
+    """The raw values (``v._mpf_``) of a tuple of coefficient arrays, which
+    compare equal only when every bit does."""
+    return tuple(tuple(v._mpf_ for v in arr) for arr in arrays)
+
+
 def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
     """F of :func:`fdsl4.rhs.build_rhs` by one rounded multiply-add per summand.
 
@@ -58,8 +104,8 @@ def sequential_rhs(spec, n, j, terms, lambdas, ctx, absolute=False):
         w = mp.pi * n / spec.X
         u = terms[j]
         u0 = (u.a, u.b, u.c, u.d)
-        u1 = _differentiate(u0, w)
-        u2 = _differentiate(u1, w)
+        u1 = differentiate_mpf(u0, w)
+        u2 = differentiate_mpf(u1, w)
         # ordered like the term arrays: sin, cos, sinh, cosh
         f = ([mpf(0)] * M1, [mpf(0)] * M1, [mpf(0)] * M0, [mpf(0)] * M0)
 

@@ -12,7 +12,7 @@ from fdsl4.corrections import (_derivative_arrays, _differentiate, basis_values,
 from fdsl4.verify import QuadratureRule
 
 from .conftest import eval_term
-from .oracles import horner_series
+from .oracles import differentiate_mpf, horner_series, raw_bits
 
 CTX = PrecisionContext(digits=120)
 
@@ -205,6 +205,17 @@ def test_term_rejects_mismatched_arrays():
     _term([1, 2], [0, 1], [3, 4], [5, 6])
 
 
+def test_make_and_replace_keep_the_length_check():
+    # namedtuple builds _make (and _replace, through it) without __new__
+    term = _term([1, 2], [0, 1], [3], [4])
+    assert CorrectionTerm._make(iter(term)) == term
+    assert term._replace(c=(), d=()) == _term([1, 2], [0, 1], [], [])
+    with pytest.raises(ValueError, match="len"):
+        CorrectionTerm._make(((1,), (), (), ()))
+    with pytest.raises(ValueError, match="len"):
+        term._replace(b=())
+
+
 def test_payload_with_mismatched_term_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["terms"][2]["d"].append("1")
@@ -266,18 +277,22 @@ def test_payload_with_other_format_rejected(x_solution):
         solution_from_payload(payload)
 
 
-def test_derivative_arrays_are_repeated_differentiation(x_solution):
-    # entry k of the cached tuple is _differentiate applied k times, k = 0..4
-    for term in x_solution.terms[:4]:
-        with CTX.workprec():
-            w = mp.pi * x_solution.n / x_solution.X
-            orders = _derivative_arrays(term, x_solution.n, x_solution.X, mp.dps)
-            assert len(orders) == 5
-            for k in range(5):
-                arrays = (term.a, term.b, term.c, term.d)
-                for _ in range(k):
-                    arrays = _differentiate(arrays, w)
-                assert orders[k] == arrays
+def test_derivative_arrays_are_repeated_differentiation(x_solution, b1_solutions_m20):
+    # entry k of the cached tuple is _differentiate applied k times, k = 0..4,
+    # with the bits of the mpf-object map, on the first terms of benchmarks 2 and 1
+    for sol in (x_solution, b1_solutions_m20[1]):
+        for term in sol.terms[:4]:
+            with CTX.workprec():
+                w = mp.pi * sol.n / sol.X
+                orders = _derivative_arrays(term, sol.n, sol.X, mp.dps)
+                assert len(orders) == 5
+                for k in range(5):
+                    arrays = (term.a, term.b, term.c, term.d)
+                    for _ in range(k):
+                        arrays = _differentiate(arrays, w)
+                    assert orders[k] == arrays
+                    if k:
+                        assert raw_bits(arrays) == raw_bits(differentiate_mpf(orders[k - 1], w))
 
 
 def test_series_dot_rejects_short_column():
@@ -358,6 +373,7 @@ def test_eval_term_matches_horner(X, n, trig_len, hyp_len, deriv, rng):
         x = X * mpf(rng.randint(0, 10 ** 6)) / 10 ** 6
         w = mp.pi * n / X
         for _ in range(deriv):
+            assert raw_bits(_differentiate(arrays, w)) == raw_bits(differentiate_mpf(arrays, w))
             arrays = _differentiate(arrays, w)
         basis = tuple(f(w * x) for f in (mp.sin, mp.cos, mp.sinh, mp.cosh))
         want = horner_series(arrays, x, basis)

@@ -1,11 +1,14 @@
-"""Precision context, replay certification and index checks."""
+"""Precision context, replay certification, the dot kernel and index checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fdsl4 import (PrecisionContext, assemble, base_pair, convergence_report, eval_solution,
                    galerkin_nearest_eigenvalue, matching_digits, moments, solve)
 from fdsl4.corrections import solution_from_payload, solution_to_payload
+from fdsl4.numerics import _dot
 
 
 def _replay(computation, ctx_hi, ctx_lo):
@@ -61,6 +64,29 @@ def test_double_precision_replay():
     v2 = chain(PrecisionContext(digits=240))
     with PrecisionContext(digits=240).workprec():
         assert abs(v1 - v2) < abs(v2) * mpf(10) ** -(120 - 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([53, 333, 1000]), st.data())
+def test_dot_kernel_is_fdot_bit_for_bit(prec, data):
+    # mpf_sum drops a term or partial sum more than 2*prec bits away, so
+    # exponents spread over +-6*prec; mantissas reach 2*prec bits, exact
+    # zeros and both signs occur, and leaving the zero pairs out, as
+    # combine_series does, keeps the bits too
+    exponent = st.integers(-6 * prec, 6 * prec) | st.integers(-6, 6).map(lambda k: k * prec)
+    entry = st.none() | st.tuples(st.integers(-2 ** (2 * prec), 2 ** (2 * prec)), exponent)
+    drawn = data.draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=24))
+    copies = data.draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 24)), max_size=3))
+    with mp.workprec(prec):
+        pairs = [tuple(mp.ldexp(*e) if e else mpf(0) for e in pair) for pair in drawn]
+        # a negated copy cancels a product exactly; whether a far smaller
+        # term was dropped depends on whether it came before the copy
+        for i, k in copies:
+            x, y = pairs[i % len(pairs)]
+            pairs.insert(k % (len(pairs) + 1), (-x, y))
+        want = mp.fdot(pairs)._mpf_
+        assert _dot([(x._mpf_, y._mpf_) for x, y in pairs])._mpf_ == want
+        assert _dot([(x._mpf_, y._mpf_) for x, y in pairs if x and y])._mpf_ == want
 
 
 CTX60 = PrecisionContext(digits=60)

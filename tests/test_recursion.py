@@ -14,7 +14,8 @@ from fdsl4.recursion import closure_index0, solve_step
 from fdsl4.rhs import add_base_term, build_rhs
 
 from .conftest import eval_series, eval_term, step_rhs
-from .oracles import horner_series, power_matching_mismatch, product_expansion_pair, term_pairs
+from .oracles import (horner_series, power_matching_mismatch, product_expansion_pair, raw_bits,
+                      solve_step_fdot, term_pairs)
 
 CTX = PrecisionContext(digits=120)
 TOL = None  # bound set per test at working precision
@@ -37,7 +38,9 @@ def test_x_potential_top_coeffs(x_potential):
     # give powers 2 and 1 (power 0 is the closure's)
     n = 3
     rhs, table = _first_step_rhs(x_potential, n)
-    a, b, _, _ = solve_step(n, rhs, table, CTX)
+    arrays = solve_step(n, rhs, table, CTX)
+    assert raw_bits(arrays) == raw_bits(solve_step_fdot(n, rhs, table, CTX))
+    a, b, _, _ = arrays
     assert len(a) == len(b) == 3
     with CTX.workprec():
         pn = mp.pi * n
@@ -66,7 +69,9 @@ def test_benchmark1_step1_full_arrays(benchmark1):
     # budget 5: the highest-power rows give powers 5, 4, 3, the walk 2 and 1
     n = 1
     rhs, table = _first_step_rhs(benchmark1, n)
-    a, b, _, _ = solve_step(n, rhs, table, CTX)
+    arrays = solve_step(n, rhs, table, CTX)
+    assert raw_bits(arrays) == raw_bits(solve_step_fdot(n, rhs, table, CTX))
+    a, b, _, _ = arrays
     with CTX.workprec():
         pn = mp.pi * n
         s10 = mp.sqrt(mpf(10))
@@ -246,7 +251,8 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
     # independent random f_sinh and f_cosh drive the c and d rows apart,
     # which F from solve never does.  Entries lie on a 1e-6 grid in
     # [-1, 1]: adding lambda u0 may cancel f_sin[0] almost entirely, and u''(X)
-    # then carries that rounding, relative to the entries before the cancellation
+    # then carries that rounding, relative to the entries before the cancellation.
+    # The walk gives the bits of the mpf-object fdot walk.
     spec = ProblemSpec.make(X, [0] * r + [1], [0], [0], CTX)
     M1, M0 = spec.M(j + 1), spec.M(j)
     table = moments(n, spec.X, M1, CTX)
@@ -258,6 +264,7 @@ def test_step_solves_arbitrary_rhs(X, n, r, j, rng):
     rhs = (f_sin, f_cos, f_sinh, f_cosh)
     rhs = add_base_term(rhs, lambda_correction(rhs, table, CTX), term0, CTX)
     a, b, c, d = solve_step(n, rhs, table, CTX)
+    assert raw_bits((a, b, c, d)) == raw_bits(solve_step_fdot(n, rhs, table, CTX))
     term = CorrectionTerm(a, b, c, d)
     with CTX.workprec():
         tol = mpf(10) ** -(CTX.digits - 30)
