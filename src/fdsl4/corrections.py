@@ -19,8 +19,8 @@ one tuple.  Every linear functional of a series (a moment projection, a
 point value) is one exactly rounded dot product of its four arrays with the
 functional's four columns, :func:`series_dot`, and every polynomial
 combination of series (a right-hand side, a residual) is one such dot
-product per coefficient, :func:`combine_series`, both through the kernel
-:func:`fdsl4.numerics._dot`: the exact sum, rounded once, as ``mp.fdot``.
+product per coefficient, :func:`combine_series`, both one call of the
+kernel :func:`fdsl4.numerics._dot`.
 
 The base eigenpair of the hinged problem with zero potentials is
 sqrt(2/X) sin(n pi x / X) with eigenvalue (n pi / X)^4; it seeds the
@@ -68,25 +68,29 @@ def base_pair(spec: ProblemSpec, n: int, ctx: PrecisionContext):
         return CorrectionTerm((amp,), (mpf(0),), (), ()), lam0
 
 
-def _differentiate(arrays, w):
-    """Coefficient arrays of the first derivative, computed exactly.
+def _differentiate(arrays, w, top: int) -> tuple:
+    """Coefficient arrays of the derivatives of orders 0..top; entry 0 is ``arrays``.
 
     One differentiation sends (a, b, c, d) to
         a'[p] = (p+1) a[p+1] - w b[p],     b'[p] = (p+1) b[p+1] + w a[p],
         c'[p] = (p+1) c[p+1] + w d[p],     d'[p] = (p+1) d[p+1] + w c[p],
     keeping the array lengths fixed.  Three roundings per entry, at the
-    caller's precision: (p+1) a[p+1], w b[p] and their sum.
+    caller's precision: (p+1) a[p+1], w b[p] and their sum.  The walk runs
+    on raw values (``v._mpf_``): each entry is read and made an mpf once.
     """
     prec, rnd, make, w = mp.prec, round_nearest, mp.make_mpf, w._mpf_
 
     def family(arr, partner, add):
-        arr = [v._mpf_ for v in arr] + [fzero]
-        return tuple(make(add(mpf_mul_int(arr[p + 1], p + 1, prec, rnd),
-                              mpf_mul(w, partner[p]._mpf_, prec, rnd), prec, rnd))
-                     for p in range(len(arr) - 1))
+        return [add(mpf_mul_int(v, p, prec, rnd), mpf_mul(w, u, prec, rnd), prec, rnd)
+                for p, (v, u) in enumerate(zip(arr[1:] + [fzero], partner), 1)]
 
-    a, b, c, d = arrays
-    return family(a, b, mpf_sub), family(b, a, mpf_add), family(c, d, mpf_add), family(d, c, mpf_add)
+    raw, orders = [[v._mpf_ for v in arr] for arr in arrays], [arrays]
+    for _ in range(top):
+        a, b, c, d = raw
+        raw = [family(a, b, mpf_sub), family(b, a, mpf_add),
+               family(c, d, mpf_add), family(d, c, mpf_add)]
+        orders.append(tuple(tuple(map(make, arr)) for arr in raw))
+    return tuple(orders)
 
 
 # Measured re-readers: one solution's point values (m + 1 terms) and the
@@ -97,29 +101,25 @@ def _derivative_arrays(term: CorrectionTerm, n: int, X, dps: int):
     """Coefficient arrays of the term and of its derivatives of orders 1..4,
     indexed by order, at dps digits, in the basis of n and X."""
     with mp.workdps(dps):
-        w = mp.pi * n / X
-        orders = [term]
-        for _ in range(4):
-            orders.append(_differentiate(orders[-1], w))
-        return tuple(orders)
+        return _differentiate(term, mp.pi * n / X, 4)
 
 
 def series_dot(arrays, columns) -> mpf:
     """Pair a (sin, cos, sinh, cosh) series with the four columns of a linear
     functional: the sum over families and powers p of arrays[f][p] * columns[f][p].
 
-    One exactly rounded dot product at the caller's precision; an entry may
-    be a Python int.  The columns are indexed explicitly, so a column shorter
-    than its array raises ``IndexError``.
+    One exactly rounded dot product at the caller's precision; every entry
+    is an mpf.  The columns are indexed explicitly, so a column shorter than
+    its array raises ``IndexError``.
     """
-    return _dot((mp.convert(v)._mpf_, column[p]._mpf_) for arr, column in zip(arrays, columns)
+    return _dot((v._mpf_, column[p]._mpf_) for arr, column in zip(arrays, columns)
                 for p, v in enumerate(arr))
 
 
 def combine_series(sizes, summands) -> tuple:
     """Arrays of the sum of coeff * x^shift * series over ``summands``.
 
-    ``summands`` holds (coeff, shift, arrays) triples, the arrays ordered
+    ``summands`` holds (coeff, shift, arrays) triples of mpf, the arrays ordered
     (sin, cos, sinh, cosh) like a term's; ``sizes`` gives the four result
     lengths.  Each coefficient is one exactly rounded dot product of the
     pairs that land on it, taken in summand order, at the caller's precision;
@@ -127,7 +127,7 @@ def combine_series(sizes, summands) -> tuple:
     """
     rows = tuple([[] for _ in range(size)] for size in sizes)
     for coeff, shift, arrays in summands:
-        coeff = mp.convert(coeff)._mpf_
+        coeff = coeff._mpf_
         for family, arr in zip(rows, arrays):
             for p, v in enumerate(arr):
                 if v._mpf_ != fzero:
@@ -242,17 +242,32 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
     }
 
 
+def _fields(obj, names: str, what: str) -> None:
+    """ValueError unless ``obj`` is a dict holding every key in ``names``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not a {type(obj).__name__}")
+    missing = [name for name in names.split() if name not in obj]
+    if missing:
+        raise ValueError(f"{what} has no field {', '.join(missing)}")
+
+
 def solution_from_payload(payload: dict) -> FDSolution:
     """The solution a payload records, through :func:`assemble`, which forms
-    the eigenvalue sum again.  Refused: n, m or X out of range, term or
-    correction counts other than the rank, and a lambda_approx other than
-    that sum.  A term's "j", written by older versions, is not read."""
-    if payload.get("format") != "fdsl4-solution":
-        raise ValueError(f"not an fdsl4-solution payload: format {payload.get('format')!r}")
+    the eigenvalue sum again.  Refused: anything but an object with every
+    field (a solve of several indices writes a list of them), n, m or X out
+    of range, term or correction counts other than the rank, and a
+    lambda_approx other than that sum.  A term's "j", written by older
+    versions, is not read."""
+    _fields(payload, "format digits n m X lambda0 lambda_corrections lambda_approx terms",
+            "a solution payload")
+    if payload["format"] != "fdsl4-solution":
+        raise ValueError(f"not an fdsl4-solution payload: format {payload['format']!r}")
     m = check_index(payload["m"], 0, "rank must be >= 0")
     ranks = (len(payload["terms"]) - 1, len(payload["lambda_corrections"]))
     if ranks != (m, m):
         raise ValueError(f"rank {m} payload holds {ranks[0] + 1} terms and {ranks[1]} corrections")
+    for j, tp in enumerate(payload["terms"]):
+        _fields(tp, "a b c d", f"payload term {j}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
         terms = [CorrectionTerm(*(tuple(map(mpf, tp[f])) for f in "abcd"))

@@ -10,6 +10,11 @@ Because results are big floats rather than exact expressions, printed digits
 are certified by replay: ``fdsl4 solve --certify`` solves again at half the
 precision and counts, with :func:`matching_digits`, the leading digits on
 which the two runs agree.
+
+Every exactly rounded sum of products in the library is one call of the
+kernel :func:`_dot` on pairs of raw mpmath values (``v._mpf_``): exact
+products, summed exactly and rounded once, to nearest, at ``mp.prec``.
+These are ``mp.fdot``'s bits for mpf pairs, without its per-pair dispatch.
 """
 
 from __future__ import annotations
@@ -67,8 +72,7 @@ def check_interval(X):
 
 
 def _dot(pairs) -> mpf:
-    """Sum of x * y over pairs of raw mpmath values (``v._mpf_``), rounded once
-    to the working precision: ``mp.fdot``'s bits, without its per-pair dispatch."""
+    """The exact-sum kernel: sum of x * y over raw-value pairs, rounded once."""
     return mp.make_mpf(mpf_sum([mpf_mul(x, y) for x, y in pairs], mp.prec, round_nearest))
 
 

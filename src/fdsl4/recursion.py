@@ -20,10 +20,10 @@ by f_cosh + f_sinh and f_cosh - f_sinh, add and subtract to the c and d rows:
     c(t) = -r11 d(t+1) - r12 c(t+2) - r13 d(t+3) + s f_cosh(t-1)
     d(t) = -r11 c(t+1) - r12 d(t+2) - r13 c(t+3) + s f_sinh(t-1)
 
-Each row is one exactly rounded dot product of four pairs, on mpmath's raw
-values (the kernel :func:`fdsl4.numerics._dot`, with ``mp.fdot``'s bits).  The
-coefficients above the budgets, M(j+1) for a, b and M(j) for c, d, are zero,
-so one downward loop starts from three zero rows and runs to power 1.
+Each row is one exactly rounded dot product of four pairs of raw values
+(the kernel :func:`fdsl4.numerics._dot`).  The coefficients above the
+budgets, M(j+1) for a, b and M(j) for c, d, are zero, so one downward loop
+starts from three zero rows and runs to power 1.
 Power 0 spans the kernel of u'''' - lambda0 u; it is closed from the boundary
 conditions (u(X) pairs with the moment table's point columns at X) plus
 orthogonality against the base eigenfunction, the projection that also gives
@@ -55,7 +55,7 @@ def closure_index0(n: int, a, b, c, d, moments, ctx: PrecisionContext):
         d2 = d[2] if len(d) > 2 else mpf(0)
         b0 = iw * (a[1] + c1 + iw * (b[2] + d2))
         d0 = -b0
-        u = [(0, *a[1:]), (b0, *b[1:]), (0, *c[1:]), (d0, *d[1:])]
+        u = [(mpf(0), *a[1:]), (b0, *b[1:]), (mpf(0), *c[1:]), (d0, *d[1:])]
         # sin(pi n) = 0: the rounded sin column at X would only add noise
         c0 = -series_dot(((), *u[1:]), moments.at_X) / moments.at_X[2][0]
         u[2] = (c0, *c[1:])

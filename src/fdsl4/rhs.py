@@ -15,11 +15,10 @@ order of the term arrays (a, b, c, d), of
 parts: the exact derivative map gives the arrays of u^(j)' and u^(j)''; then
 each coefficient, the polynomial convolution with q0, q1 and q2 plus the
 eigenvalue sum over the earlier corrections, is one exactly rounded dot
-product (the kernel :func:`fdsl4.numerics._dot`, with ``mp.fdot``'s bits).
-The newest correction lambda^(j+1) is not known yet: it
-is minus the projection of F onto the base eigenfunction
-(:meth:`fdsl4.spectral.MomentTable.project`), and since u^(0) is a multiple
-of sin it enters through f_sin[0] alone.
+product (the kernel :func:`fdsl4.numerics._dot`).  The newest correction
+lambda^(j+1) is not known yet: it is minus the projection of F onto the base
+eigenfunction (:meth:`fdsl4.spectral.MomentTable.project`), and since u^(0)
+is a multiple of sin it enters through f_sin[0] alone.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ def build_rhs(spec: ProblemSpec, n: int, terms, lambdas, ctx: PrecisionContext) 
     j = len(terms) - 1
     M1, M0 = spec.M(j + 1), spec.M(j)
     with ctx.workprec():
-        w = mp.pi * n / spec.X
-        u0 = terms[j]
-        u1 = _differentiate(u0, w)
-        u2 = _differentiate(u1, w)
+        u0, u1, u2 = _differentiate(terms[j], mp.pi * n / spec.X, 2)
         # each F[k] is one dot product of the pairs in its row: -q_t against
         # u, u', u'' at power k - t, and lambda^(j+1-s) against u^(s) at k
         summands = [(-qt, t, arrays)

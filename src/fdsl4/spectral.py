@@ -19,8 +19,8 @@ eigenfunction to get the next eigenvalue correction
 recurrence per exponent (:func:`fdsl4.recursion.solve_step`).  F is the
 same (sin, cos, sinh, cosh) array tuple as a correction.  Each coefficient
 these stages compute is one exactly rounded dot product (the kernel
-:func:`fdsl4.numerics._dot`, with ``mp.fdot``'s bits); the projection that
-the eigenvalue correction and the closure share is :meth:`MomentTable.project`.
+:func:`fdsl4.numerics._dot`); the projection that the eigenvalue correction
+and the closure share is :meth:`MomentTable.project`.
 """
 
 from __future__ import annotations

@@ -27,17 +27,16 @@ instruments:
   recursion (right-hand side, recurrences, closure), and the eigenvalue
   comes from another method.
 
-Every float sum is one exactly rounded dot product: a residual coefficient
-through the solver's kernel (:func:`fdsl4.numerics._dot`), a residual
-integral and a Galerkin entry through ``mp.fdot``, which gives the same
-bits.  Exact sums of products run on Python integers scaled to a binary
-exponent set by the largest entry, with mp.prec + GUARD_BITS bits
-below it: the residual's polynomial products, each family at its own
-exponent, and the oracle's dense algebra, where the shifted matrix shares
-one.  Each L or U entry of the left-looking LU and each row of the
-triangular solves is an exact integer dot product rounded once, an exactly
-zero pivot is one unit of the scale, and the Rayleigh quotient comes from
-the solve's own sums, exact up to the division.
+Every float sum of products (a residual coefficient or integral, a Galerkin
+entry, a quadrature sum) is one exactly rounded dot product, the kernel
+:func:`fdsl4.numerics._dot`.  Exact sums of products run on Python integers
+scaled to a binary exponent set by the largest entry, with mp.prec +
+GUARD_BITS bits below it: the residual's polynomial products, each family
+at its own exponent, and the oracle's dense algebra, where the shifted
+matrix shares one.  Each L or U entry of the left-looking LU and each row
+of the triangular solves is an exact integer dot product rounded once, an
+exactly zero pivot is one unit of the scale, and the Rayleigh quotient
+comes from the solve's own sums, exact up to the division.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from itertools import zip_longest
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_shift, round_nearest, to_int
+from mpmath.libmp import from_int, mpf_neg, mpf_shift, round_nearest, to_int
 
 from .corrections import FDSolution, _derivative_arrays, combine_series, lambda_partials
-from .numerics import PrecisionContext, check_index, matching_digits
+from .numerics import PrecisionContext, _dot, check_index, matching_digits
 from .problem import ProblemSpec
 from .spectral import _exp_moments
 
@@ -103,7 +102,7 @@ class QuadratureRule:
 
     def integrate(self, f, ctx: PrecisionContext) -> mpf:
         with ctx.workprec():
-            return mp.fdot(self.weights, map(f, self.nodes))
+            return _dot((w._mpf_, f(x)._mpf_) for w, x in zip(self.weights, self.nodes))
 
 
 # --- residual norms -----------------------------------------------------------
@@ -128,13 +127,13 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
     derivative orders come from its cached tuple, one lookup per term.
     """
     with ctx.workprec():
-        r = spec.r
+        r, one = spec.r, mpf(1)
         lam = lambda_partials((sol.lambda0,) + sol.lambda_corrections, ctx)
         R = S = ((), (), (), ())
         series = []
         for k, term in enumerate(sol.terms):
             u = _derivative_arrays(term, sol.n, sol.X, mp.dps)
-            summands = [(1, 0, R), (1, 0, u[4]), (-lam[k], 0, u[0])]
+            summands = [(one, 0, R), (one, 0, u[4]), (-lam[k], 0, u[0])]
             summands += [(qt, t, u[order])
                          for q, order in ((spec.q2, 2), (spec.q1, 1), (spec.q0, 0))
                          for t, qt in enumerate(q) if qt]
@@ -142,7 +141,7 @@ def _residual_series(sol: FDSolution, spec: ProblemSpec, ctx: PrecisionContext) 
                 summands.append((-sol.lambda_corrections[k - 1], 0, S))
             la, lc = len(term.a), len(term.c)
             R = combine_series((la + r, la + r, lc + r, lc + r), summands)
-            S = combine_series((la, la, lc, lc), ((1, 0, S), (1, 0, u[0])))
+            S = combine_series((la, la, lc, lc), ((one, 0, S), (one, 0, u[0])))
             series.append(R)
         return series
 
@@ -227,13 +226,13 @@ def _residual_square(R, X, n: int, moments: dict, guard: int):
     G = (d + c)/2 and H = (d - c)/2 formed exactly.  Each family becomes
     integers at its own binary exponent, ``bits`` bits below its largest
     coefficient; the products of _PRODUCTS are exact convolutions, and the
-    integral is X times one ``fdot`` of their coefficients with ``moments``
+    integral is X times one ``_dot`` of their coefficients with ``moments``
     (from :func:`_square_moments` at ``bits``).  The digits come from a
     running error bound (Higham, Accuracy and Stability, 3.3) on the sum of
     absolute values: moments within 4 (2 len(a) + 8 n + 16) units of their
     last place of their size, coefficients within (length + 1) 2^e of their
     scaled value, the terms below 2^(-2 bits) of the running sum that
-    ``fdot``'s exact summation drops, and the two roundings.
+    ``_dot``'s exact summation drops, and the two roundings.
     """
     a, b, c, d = R
     with mp.workprec(mp.prec + guard):
@@ -257,11 +256,11 @@ def _residual_square(R, X, n: int, moments: dict, guard: int):
             for shift, sign, name in columns:
                 values, size = moments[name]
                 k = ef + eg + shift
-                terms += zip(C if sign > 0 else [-v for v in C],
-                             [mp.ldexp(v, k) for v in values[:len(C)]])
+                terms += zip(map(from_int, C if sign > 0 else [-v for v in C]),
+                             [mpf_shift(v._mpf_, k) for v in values[:len(C)]])
                 absum += size * mp.ldexp(spread, top + k)
                 conversion += size * mp.ldexp(mpf(slack) * (1 + math.log(len(C))), k)
-        total = mp.fdot(terms) * X
+        total = _dot(terms) * X
         err = X * (absum * (mp.ldexp(4 * (2 * len(a) + 8 * n + 16), -bits)
                             + mp.ldexp(len(terms), -2 * bits))
                    + conversion) + mp.ldexp(abs(total), 1 - bits)
@@ -375,17 +374,18 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
     """
     with ctx.workprec():
         X = spec.X
-        I_s, I_c = _sine_cosine_integrals(X, spec.r, 2 * N, ctx)
+        I_s, I_c = ([[v._mpf_ for v in row] for row in table]
+                    for table in _sine_cosine_integrals(X, spec.r, 2 * N, ctx))
         rows = []
         for p in range(1, N + 1):
             wp = p * mp.pi / X
             # weights of 2 int x^l sin_p sin_q and 2 int x^l cos_p sin_q, 2/X folded
-            # in, with their negatives and the integrals they pair with
+            # in, with their negatives and the integrals they pair with, as raw values
             w_ss = [(c0 - wp ** 2 * c2) / X for c0, c2 in
                     zip_longest(spec.q0, spec.q2, fillvalue=0)]
             w_cs = [c1 * wp / X for c1 in spec.q1]
-            ss = [(w, -w, I_c[l]) for l, w in enumerate(w_ss) if w]
-            cs = [(w, -w, I_s[l]) for l, w in enumerate(w_cs) if w]
+            ss = [(w._mpf_, mpf_neg(w._mpf_), I_c[l]) for l, w in enumerate(w_ss) if w]
+            cs = [(w._mpf_, mpf_neg(w._mpf_), I_s[l]) for l, w in enumerate(w_cs) if w]
             row = []
             for q in range(1, N + 1):
                 # 2 sin_p sin_q = cos_(p-q) - cos_(p+q), 2 cos_p sin_q = sin_(p+q) -+ sin_|p-q|
@@ -393,7 +393,7 @@ def build_galerkin(spec: ProblemSpec, N: int, ctx: PrecisionContext) -> tuple:
                 pairs = [pair for w, nw, I in ss for pair in ((w, I[d]), (nw, I[s]))]
                 pairs += [pair for w, nw, I in cs
                           for pair in ((w, I[s]), (nw if p >= q else w, I[d]))]
-                entry = mp.fdot(pairs)
+                entry = _dot(pairs)
                 row.append(entry + wp ** 4 if p == q else entry)
             rows.append(tuple(row))
         return tuple(rows)
@@ -490,7 +490,7 @@ def galerkin_nearest_eigenvalue(spec: ProblemSpec, shift, N: int,
                 return ritz
             ritz_prev = ritz
         # A y - R y = v - (R - shift) y, both sides times 2^(e + 2 bits)
-        res = [mp.ldexp(p, e + bits) - (ritz - shift) * c for p, c in zip(v, y)]
+        res = [(mp.ldexp(p, e + bits) - (ritz - shift) * c)._mpf_ for p, c in zip(v, y)]
         raise OracleConvergenceError(
             f"inverse iteration did not settle after {MAX_INVERSE_ITERATIONS} iterations; "
-            f"last Rayleigh residual {mp.nstr(mp.sqrt(mp.fdot(res, res) / yy), 5)}")
+            f"last Rayleigh residual {mp.nstr(mp.sqrt(_dot((r, r) for r in res) / yy), 5)}")

@@ -216,6 +216,34 @@ def test_make_and_replace_keep_the_length_check():
         term._replace(b=())
 
 
+def test_payload_of_several_solutions_rejected(x_solution):
+    # `fdsl4 solve --n 1,2 --json F` writes a list, which used to raise AttributeError
+    payload = solution_to_payload(x_solution, CTX)
+    with pytest.raises(ValueError, match="a solution payload must be a JSON object, not a list"):
+        solution_from_payload([payload, payload])
+
+
+@pytest.mark.parametrize("field", ["format", "digits", "n", "m", "X", "lambda0",
+                                   "lambda_corrections", "lambda_approx", "terms"])
+def test_payload_without_a_field_rejected(x_solution, field):
+    # each missing field used to raise KeyError (or, for "format", name a None format)
+    payload = solution_to_payload(x_solution, CTX)
+    del payload[field]
+    with pytest.raises(ValueError, match=f"a solution payload has no field {field}$"):
+        solution_from_payload(payload)
+
+
+def test_payload_term_without_a_family_rejected(x_solution):
+    # a term without "c" used to raise KeyError: 'c'
+    payload = solution_to_payload(x_solution, CTX)
+    del payload["terms"][2]["c"]
+    with pytest.raises(ValueError, match="payload term 2 has no field c$"):
+        solution_from_payload(payload)
+    payload["terms"][2] = ["1"]
+    with pytest.raises(ValueError, match="payload term 2 must be a JSON object, not a list"):
+        solution_from_payload(payload)
+
+
 def test_payload_with_mismatched_term_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["terms"][2]["d"].append("1")
@@ -289,7 +317,7 @@ def test_derivative_arrays_are_repeated_differentiation(x_solution, b1_solutions
                 for k in range(5):
                     arrays = (term.a, term.b, term.c, term.d)
                     for _ in range(k):
-                        arrays = _differentiate(arrays, w)
+                        arrays = _differentiate(arrays, w, 1)[1]
                     assert orders[k] == arrays
                     if k:
                         assert raw_bits(arrays) == raw_bits(differentiate_mpf(orders[k - 1], w))
@@ -373,8 +401,8 @@ def test_eval_term_matches_horner(X, n, trig_len, hyp_len, deriv, rng):
         x = X * mpf(rng.randint(0, 10 ** 6)) / 10 ** 6
         w = mp.pi * n / X
         for _ in range(deriv):
-            assert raw_bits(_differentiate(arrays, w)) == raw_bits(differentiate_mpf(arrays, w))
-            arrays = _differentiate(arrays, w)
+            assert raw_bits(_differentiate(arrays, w, 1)[1]) == raw_bits(differentiate_mpf(arrays, w))
+            arrays = _differentiate(arrays, w, 1)[1]
         basis = tuple(f(w * x) for f in (mp.sin, mp.cos, mp.sinh, mp.cosh))
         want = horner_series(arrays, x, basis)
         size = horner_series(tuple(tuple(map(abs, arr)) for arr in arrays), x,

@@ -74,6 +74,23 @@ def test_traced_verify_interfaces_pinned():
         "galerkin_nearest_eigenvalue(spec, shift, N, ctx) changed"
 
 
+def test_one_exact_sum_kernel():
+    # numerics._dot forms every exactly rounded sum of products in the package:
+    # no module reads mp.fdot, or mp.convert to coerce a kernel entry, nor
+    # imports either from mpmath
+    package = Path(fdsl4.__file__).resolve().parent
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("fdot", "convert") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "mp":
+                hits.append(f"{path.name}:{node.lineno} mp.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+                hits += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                         if alias.name in ("fdot", "convert")]
+    assert hits == []
+
+
 def test_demo_imports_exist():
     demos = sorted(DEMOS.glob("*.py"))
     assert demos

@@ -28,7 +28,8 @@ With ``--against`` it prints, per quantity, how many entries are
 bit-identical and the worst relative difference.  A correction lambda^(j)
 can be exactly 0 on one side and a rounding-level value on the other, so
 its differences are divided by the case's |lambda| instead of by their own
-size.
+size.  :func:`digests` gives one sha256 per quantity of a record, which
+``tests/test_compare_cases.py`` pins.
 """
 
 from __future__ import annotations
@@ -142,6 +143,16 @@ def pairs(new: dict, old: dict):
             yield "residuals", a, b, None
     for name, ritz in new["oracle"].items():
         yield "oracle", ritz, old["oracle"][name], None
+
+
+def digests(result: dict) -> dict:
+    """Quantity -> sha256 of its entries in record order, one line of text
+    each: a short pin for a record that tests can hold."""
+    entries = {}
+    for quantity, entry, _, _ in pairs(result, result):
+        entries.setdefault(quantity, []).append(entry)
+    return {quantity: hashlib.sha256("\n".join(values).encode()).hexdigest()
+            for quantity, values in entries.items()}
 
 
 def compare(new: dict, old: dict) -> None:
