@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_mul_int, mpf_sub, round_nearest
@@ -75,13 +76,15 @@ def _differentiate(arrays, w, top: int) -> tuple:
         a'[p] = (p+1) a[p+1] - w b[p],     b'[p] = (p+1) b[p+1] + w a[p],
         c'[p] = (p+1) c[p+1] + w d[p],     d'[p] = (p+1) d[p+1] + w c[p],
     keeping the array lengths fixed.  Three roundings per entry, at the
-    caller's precision: (p+1) a[p+1], w b[p] and their sum.  The walk runs
-    on raw values (``v._mpf_``): each entry is read and made an mpf once.
+    caller's precision: (p+1) a[p+1], w b[p] and their sum; an entry whose
+    two inputs are exactly zero is an exact zero, without them.  The walk
+    runs on raw values (``v._mpf_``): each entry is read and made an mpf once.
     """
     prec, rnd, make, w = mp.prec, round_nearest, mp.make_mpf, w._mpf_
 
     def family(arr, partner, add):
-        return [add(mpf_mul_int(v, p, prec, rnd), mpf_mul(w, u, prec, rnd), prec, rnd)
+        return [fzero if v == u == fzero else
+                add(mpf_mul_int(v, p, prec, rnd), mpf_mul(w, u, prec, rnd), prec, rnd)
                 for p, (v, u) in enumerate(zip(arr[1:] + [fzero], partner), 1)]
 
     raw, orders = [[v._mpf_ for v in arr] for arr in arrays], [arrays]
@@ -201,10 +204,7 @@ def assemble(n: int, X, terms, lambda_values, ctx: PrecisionContext) -> FDSoluti
 def lambda_partials(lambda_values, ctx: PrecisionContext) -> list:
     """Rank-k eigenvalues lambda0 + ... + lambda^(k) from [lambda0, lambda^(1), ...]."""
     with ctx.workprec():
-        partials = [lambda_values[0]]
-        for v in lambda_values[1:]:
-            partials.append(partials[-1] + v)
-        return partials
+        return list(accumulate(lambda_values))
 
 
 def eval_solution(sol: FDSolution, x, deriv: int = 0, *, ctx: PrecisionContext) -> mpf:
@@ -242,24 +242,31 @@ def solution_to_payload(sol: FDSolution, ctx: PrecisionContext) -> dict:
     }
 
 
-def _fields(obj, names: str, what: str) -> None:
-    """ValueError unless ``obj`` is a dict holding every key in ``names``."""
+def _fields(obj, kinds: dict, what: str) -> None:
+    """ValueError unless ``obj`` is a dict holding each field of ``kinds`` as a
+    value of that JSON kind (a bool is no number); the message names the
+    first field missing or of another kind."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not a {type(obj).__name__}")
-    missing = [name for name in names.split() if name not in obj]
-    if missing:
-        raise ValueError(f"{what} has no field {', '.join(missing)}")
+    for name, kind in kinds.items():
+        if name not in obj:
+            raise ValueError(f"{what} has no field {name}")
+        v, types = obj[name], {"number": (int, float), "string": str}.get(kind, list)
+        if (isinstance(v, bool) or not isinstance(v, types)
+                or kind == "list of strings" and not all(isinstance(s, str) for s in v)):
+            raise ValueError(f"{what} field {name} must be a JSON {kind}, got {v!r:.40}")
 
 
 def solution_from_payload(payload: dict) -> FDSolution:
     """The solution a payload records, through :func:`assemble`, which forms
     the eigenvalue sum again.  Refused: anything but an object with every
-    field (a solve of several indices writes a list of them), n, m or X out
-    of range, term or correction counts other than the rank, and a
-    lambda_approx other than that sum.  A term's "j", written by older
-    versions, is not read."""
-    _fields(payload, "format digits n m X lambda0 lambda_corrections lambda_approx terms",
-            "a solution payload")
+    field, each of its JSON kind (a solve of several indices writes a list
+    of them), n, m or X out of range, term or correction counts other than
+    the rank, and a lambda_approx other than that sum.  A term's "j",
+    written by older versions, is not read."""
+    _fields(payload, dict(format="string", digits="number", n="number", m="number", X="string",
+                          lambda0="string", lambda_corrections="list of strings",
+                          lambda_approx="string", terms="list"), "a solution payload")
     if payload["format"] != "fdsl4-solution":
         raise ValueError(f"not an fdsl4-solution payload: format {payload['format']!r}")
     m = check_index(payload["m"], 0, "rank must be >= 0")
@@ -267,7 +274,7 @@ def solution_from_payload(payload: dict) -> FDSolution:
     if ranks != (m, m):
         raise ValueError(f"rank {m} payload holds {ranks[0] + 1} terms and {ranks[1]} corrections")
     for j, tp in enumerate(payload["terms"]):
-        _fields(tp, "a b c d", f"payload term {j}")
+        _fields(tp, dict.fromkeys("abcd", "list of strings"), f"payload term {j}")
     ctx = PrecisionContext(digits=payload["digits"])
     with ctx.workprec():
         terms = [CorrectionTerm(*(tuple(map(mpf, tp[f])) for f in "abcd"))

@@ -14,7 +14,8 @@ which the two runs agree.
 Every exactly rounded sum of products in the library is one call of the
 kernel :func:`_dot` on pairs of raw mpmath values (``v._mpf_``): exact
 products, summed exactly and rounded once, to nearest, at ``mp.prec``.
-These are ``mp.fdot``'s bits for mpf pairs, without its per-pair dispatch.
+These are ``mp.fdot``'s bits for mpf pairs, from ``mpf_sum``'s integer steps
+with each product formed inside the sum, and no per-pair dispatch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import bitcount, from_man_exp, mpf_mul, mpf_sum, round_nearest
 
 # Extra decimal digits carried internally so that results are good to the
 # context's nominal precision after accumulated rounding.
@@ -72,8 +73,28 @@ def check_interval(X):
 
 
 def _dot(pairs) -> mpf:
-    """The exact-sum kernel: sum of x * y over raw-value pairs, rounded once."""
-    return mp.make_mpf(mpf_sum([mpf_mul(x, y) for x, y in pairs], mp.prec, round_nearest))
+    """The exact-sum kernel: sum of x * y over raw-value pairs, rounded once.
+
+    The bits of ``mpf_sum`` over the exact products ``mpf_mul(x, y)``: its
+    integer steps replayed in pair order, each product formed in the loop; its
+    rule dropping a term 2 mp.prec bits below the sum, or the sum below it,
+    reads exact product bit counts.  An inf or nan entry falls back to it.
+    """
+    prec, man, exp, pairs = mp.prec, 0, 0, list(pairs)
+    for (xsign, xman, xexp, xbc), (ysign, yman, yexp, ybc) in pairs:
+        pman, pexp = xman * yman, xexp + yexp
+        if not pman:
+            if xexp and not xman or yexp and not yman:
+                return mp.make_mpf(mpf_sum([mpf_mul(x, y) for x, y in pairs], prec, round_nearest))
+            continue
+        delta, term, bc = pexp - exp, -pman if xsign ^ ysign else pman, xbc + ybc - 1
+        if delta >= 0 and (delta <= 2 * prec or man and delta - bitcount(abs(man)) <= 2 * prec):
+            man += term << delta
+        elif delta < 0 and (delta >= -2 * prec or -delta - bc - (pman >> bc) <= 2 * prec):
+            man, exp = (man << -delta) + term, pexp
+        elif delta >= 0 or not man:
+            man, exp = term, pexp
+    return mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
 
 
 def matching_digits(value, reference, ctx: PrecisionContext) -> int:

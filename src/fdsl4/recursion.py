@@ -21,9 +21,11 @@ by f_cosh + f_sinh and f_cosh - f_sinh, add and subtract to the c and d rows:
     d(t) = -r11 c(t+1) - r12 d(t+2) - r13 c(t+3) + s f_sinh(t-1)
 
 Each row is one exactly rounded dot product of four pairs of raw values
-(the kernel :func:`fdsl4.numerics._dot`).  The coefficients above the
-budgets, M(j+1) for a, b and M(j) for c, d, are zero, so one downward loop
-starts from three zero rows and runs to power 1.
+(the kernel :func:`fdsl4.numerics._dot`).  Its factors depend only on n, X,
+t and the precision, so the moment table holds them, built once per solve
+(``MomentTable.factors``).  The coefficients above the budgets, M(j+1)
+for a, b and M(j) for c, d, are zero, so one downward loop starts from
+three zero rows and runs to power 1.
 Power 0 spans the kernel of u'''' - lambda0 u; it is closed from the boundary
 conditions (u(X) pairs with the moment table's point columns at X) plus
 orthogonality against the base eigenfunction, the projection that also gives
@@ -33,7 +35,7 @@ lambda^(j+1) (:meth:`fdsl4.spectral.MomentTable.project`).
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_mul_int, mpf_neg, round_nearest
+from mpmath.libmp import fzero
 
 from .corrections import series_dot
 from .numerics import PrecisionContext, _dot
@@ -67,25 +69,19 @@ def closure_index0(n: int, a, b, c, d, moments, ctx: PrecisionContext):
 def solve_step(n: int, rhs: tuple, moments, ctx: PrecisionContext):
     """Arrays (a, b, c, d) of the correction that inverts F = ``rhs``.
 
-    The budgets are F's lengths, M1 = len(f_sin) and M0 = len(f_sinh), and X
-    is the moment table's.  One downward loop from zero rows above M1 gives
-    powers M1 .. 1, the closure power 0; a, b get length M1+1, c, d M0+1.
-    The walk carries raw values (``v._mpf_``), made mpf before the closure.
+    The budgets are F's lengths, M1 = len(f_sin) and M0 = len(f_sinh); X and
+    the row factors are the moment table's.  One downward loop from zero rows
+    above M1 gives powers M1 .. 1, the closure power 0; a, b get length M1+1,
+    c, d M0+1.  The walk carries raw values (``v._mpf_``), made mpf before
+    the closure.
     """
     M1, M0 = len(rhs[0]), len(rhs[2])
     with ctx.workprec():
-        prec = mp.prec
         f_sin, f_cos, f_sinh, f_cosh = ([v._mpf_ for v in f] for f in rhs)
-        iw = moments.X / (mp.pi * n)
-        k1, k2, k3 = (3 * iw / 2)._mpf_, (iw ** 2)._mpf_, (iw ** 3 / 4)._mpf_
         a, b = [fzero] * (M1 + 4), [fzero] * (M1 + 4)
         c, d = [fzero] * (M0 + 4), [fzero] * (M0 + 4)
         for t in range(M1, 0, -1):
-            r11 = mpf_mul_int(k1, t + 1, prec, round_nearest)
-            r12 = mpf_mul_int(k2, (t + 2) * (t + 1), prec, round_nearest)
-            r13 = mpf_mul_int(k3, (t + 3) * (t + 2) * (t + 1), prec, round_nearest)
-            s = mpf_div(k3, from_int(t), prec, round_nearest)
-            n11, n12, n13, ns = mpf_neg(r11), mpf_neg(r12), mpf_neg(r13), mpf_neg(s)
+            r11, r12, r13, s, n11, n12, n13, ns = moments.factors[t - 1]
             a[t] = _dot(((n11, b[t + 1]), (r12, a[t + 2]), (r13, b[t + 3]), (ns, f_cos[t - 1])))._mpf_
             b[t] = _dot(((r11, a[t + 1]), (r12, b[t + 2]), (n13, a[t + 3]), (s, f_sin[t - 1])))._mpf_
             if t <= M0:

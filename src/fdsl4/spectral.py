@@ -48,6 +48,7 @@ class MomentTable:
     eta: tuple    # integral of x^t sin(w x) cosh(w x)
     mu: tuple     # integral of x^t sin(w x) sinh(w x)
     at_X: tuple   # point columns X^t (sin, cos, sinh, cosh)(pi n), basis_values at X
+    factors: tuple  # raw (r11, r12, r13, s) of power t, then their negatives, t = 1..T
 
     def project(self, arrays) -> mpf:
         """Integral of the (sin, cos, sinh, cosh) series ``arrays`` times sin(w x).
@@ -83,8 +84,8 @@ def _exp_moments(re: int, im: int, n: int, T: int) -> list:
 
 
 def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
-    """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t),
-    with the point columns at X that the closure's u(X) = 0 condition pairs."""
+    """Moment table for powers 0..T from K_t at Z = z X (J_t = X^(t+1) K_t), the
+    closure's point columns at X and the row factors of ``recursion.solve_step``."""
     n = check_index(n, 1, "eigenpair index must be >= 1")
     T = check_index(T, 0, "highest power T must be >= 0")
     with ctx.workprec():
@@ -97,8 +98,13 @@ def moments(n: int, X, T: int, ctx: PrecisionContext) -> MomentTable:
             beta.append(half * trig[t].imag)
             eta.append(half * (grow[t].imag + decay[t].imag))
             mu.append(half * (grow[t].imag - decay[t].imag))
-        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta),
-                           eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
+        iw = X / (mp.pi * n)
+        k1, k2, k3 = 3 * iw / 2, iw ** 2, iw ** 3 / 4
+        factors = tuple(tuple(v._mpf_ for v in (*r, *(-v for v in r))) for r in (
+            (k1 * (t + 1), k2 * ((t + 2) * (t + 1)), k3 * ((t + 3) * (t + 2) * (t + 1)), k3 / t)
+            for t in range(1, T + 1)))
+        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta), eta=tuple(eta),
+                           mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx), factors=factors)
 
 
 def lambda_correction(rhs: tuple, table: MomentTable, ctx: PrecisionContext) -> mpf:

@@ -350,7 +350,8 @@ def closed_form_moments(n, X, T, ctx):
     quarter/eighth-period trigonometric values.  The terms alternate and grow
     with t, so this loses digits as T grows (at 300 digits: about 1e-207 at
     n=1, X=5, T=105); use it as an oracle for small T only.  The point
-    columns at X are taken from ``basis_values``, not checked here.
+    columns at X are taken from ``basis_values``, not checked here, and the
+    table holds no recurrence factors.
     """
     with ctx.workprec():
         X = mpf(X)
@@ -391,8 +392,8 @@ def closed_form_moments(n, X, T, ctx):
                 u += pref * (ps * ch - pc * sh)
             eta.append(e)
             mu.append(u)
-        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta),
-                           eta=tuple(eta), mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx))
+        return MomentTable(X=X, alpha=tuple(alpha), beta=tuple(beta), eta=tuple(eta),
+                           mu=tuple(mu), at_X=basis_values(n, X, X, T, ctx), factors=())
 
 
 # --- the Galerkin oracle's dense algebra in mpf, one fdot per entry ----------

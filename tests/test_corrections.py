@@ -244,6 +244,31 @@ def test_payload_term_without_a_family_rejected(x_solution):
         solution_from_payload(payload)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("format", 1, "string"), ("digits", "40", "number"), ("n", True, "number"),
+    ("m", "6", "number"), ("X", None, "string"), ("lambda0", 1.5, "string"),
+    ("lambda_corrections", None, "list of strings"),
+    ("lambda_corrections", ["0"] * 5 + [None], "list of strings"),
+    ("lambda_approx", None, "string"), ("terms", None, "list")])
+def test_payload_field_of_another_kind_rejected(x_solution, field, value, kind):
+    # each used to raise a bare TypeError, load (n true is 1), or name
+    # another fault (a float lambda0 loads, then misses its sum)
+    payload = solution_to_payload(x_solution, CTX)
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"^a solution payload field {field} must be a JSON {kind}, got "):
+        solution_from_payload(payload)
+
+
+@pytest.mark.parametrize("family", "abcd")
+def test_payload_term_family_of_another_kind_rejected(x_solution, family):
+    # a null family, or a null entry in one, used to raise a bare TypeError
+    for value in (None, ["1", None]):
+        payload = solution_to_payload(x_solution, CTX)
+        payload["terms"][2][family] = value
+        with pytest.raises(ValueError, match=f"^payload term 2 field {family} must be a JSON list of strings"):
+            solution_from_payload(payload)
+
+
 def test_payload_with_mismatched_term_rejected(x_solution):
     payload = solution_to_payload(x_solution, CTX)
     payload["terms"][2]["d"].append("1")

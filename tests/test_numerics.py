@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import fzero
 
 from fdsl4 import (PrecisionContext, assemble, base_pair, convergence_report, eval_solution,
                    galerkin_nearest_eigenvalue, matching_digits, moments, solve)
@@ -72,11 +73,14 @@ def test_dot_kernel_is_fdot_bit_for_bit(prec, data):
     # mpf_sum drops a term or partial sum more than 2*prec bits away, so
     # exponents spread over +-6*prec; mantissas reach 2*prec bits, exact
     # zeros and both signs occur, and leaving the zero pairs out, as
-    # combine_series does, keeps the bits too
+    # combine_series does, keeps the bits of a finite sum too.  A few
+    # entries become inf, -inf or nan, some of them against a zero (0 * inf)
     exponent = st.integers(-6 * prec, 6 * prec) | st.integers(-6, 6).map(lambda k: k * prec)
     entry = st.none() | st.tuples(st.integers(-2 ** (2 * prec), 2 ** (2 * prec)), exponent)
     drawn = data.draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=24))
     copies = data.draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 24)), max_size=3))
+    specials = data.draw(st.lists(st.tuples(st.integers(0, 47), st.sampled_from(["inf", "-inf", "nan"])),
+                                  max_size=2))
     with mp.workprec(prec):
         pairs = [tuple(mp.ldexp(*e) if e else mpf(0) for e in pair) for pair in drawn]
         # a negated copy cancels a product exactly; whether a far smaller
@@ -84,9 +88,54 @@ def test_dot_kernel_is_fdot_bit_for_bit(prec, data):
         for i, k in copies:
             x, y = pairs[i % len(pairs)]
             pairs.insert(k % (len(pairs) + 1), (-x, y))
+        flat = [v for pair in pairs for v in pair]
+        for i, value in specials:
+            flat[i % len(flat)] = mpf(value)
+        pairs = list(zip(flat[::2], flat[1::2]))
+        raw = [(x._mpf_, y._mpf_) for x, y in pairs]
         want = mp.fdot(pairs)._mpf_
-        assert _dot([(x._mpf_, y._mpf_) for x, y in pairs])._mpf_ == want
-        assert _dot([(x._mpf_, y._mpf_) for x, y in pairs if x and y])._mpf_ == want
+        assert _dot(raw)._mpf_ == want
+        assert _dot(pair for pair in raw)._mpf_ == want
+        kept = [(x, y) for x, y in pairs if x and y]
+        assert _dot([(x._mpf_, y._mpf_) for x, y in kept])._mpf_ == mp.fdot(kept)._mpf_
+        if not specials:
+            assert mp.fdot(kept)._mpf_ == want
+
+
+def test_dot_kernel_special_and_vanishing_sums():
+    # 0 * inf is nan, inf - inf is nan, and a nan or inf product decides the
+    # sum wherever it stands; a sum of vanishing products is exactly fzero
+    with mp.workprec(333):
+        one, zero, inf, nan = mpf(1), mpf(0), mp.inf, mp.nan
+        for pairs in ([(zero, inf)], [(one, inf), (zero, -inf)], [(one, inf), (one, -inf)],
+                      [(one, one), (-inf, one), (mpf(3), one)], [(one, nan), (one, inf)],
+                      [(mpf(2) ** 4000, one), (one, inf)]):
+            assert _dot((x._mpf_, y._mpf_) for x, y in pairs)._mpf_ == mp.fdot(pairs)._mpf_
+        assert _dot([])._mpf_ == fzero
+        assert _dot(iter([(zero._mpf_, one._mpf_), (one._mpf_, zero._mpf_)]))._mpf_ == fzero
+        assert _dot([(zero._mpf_, zero._mpf_)] * 3)._mpf_ == fzero
+
+
+@pytest.mark.parametrize("tiny_first", [False, True])
+@pytest.mark.parametrize("carry", [False, True])
+@pytest.mark.parametrize("gap", [-1, 0, 1])
+def test_dot_kernel_drops_a_far_term_where_mpf_sum_does(tiny_first, carry, gap):
+    # 2**53 + 1 is a tie at 53 bits, which a far smaller positive product
+    # breaks upwards unless the sum drops it: mpf_sum drops the product (or
+    # the partial sum it forms alone) when it lies more than 2*prec bits
+    # plus its exact bit count below, one bit more with a carry
+    prec, k = 53, 20
+    mant = 2 ** k - 1 if carry else 2 ** (k - 1) + 1
+    bits = (mant * mant).bit_length()
+    below = 2 * prec + bits + gap - (53 if tiny_first else 0)
+    with mp.workprec(prec):
+        one = mpf(1)
+        tiny = [(mp.ldexp(mant, -(below // 2)), mp.ldexp(mant, -(below - below // 2)))]
+        pairs = [(mpf(2) ** 53, one), (one, one)]
+        pairs = tiny + pairs if tiny_first else pairs + tiny
+        got = _dot([(x._mpf_, y._mpf_) for x, y in pairs])
+        assert got._mpf_ == mp.fdot(pairs)._mpf_
+        assert got == mpf(2) ** 53 + (0 if gap > 0 else 2)
 
 
 CTX60 = PrecisionContext(digits=60)

@@ -36,10 +36,11 @@ def test_exported_names_resolve():
 
 def test_moment_table_interface_pinned():
     # bench/stagetrace.py reads only the ``T`` argument of moments, by name;
-    # the field list pins the table's shape for the closure and the oracles
+    # the field list pins the table's shape for the closure, the recurrence's
+    # row factors and the oracles
     assert tuple(inspect.signature(fdsl4.moments).parameters) == ("n", "X", "T", "ctx")
     assert tuple(f.name for f in dataclasses.fields(fdsl4.MomentTable)) == \
-        ("X", "alpha", "beta", "eta", "mu", "at_X")
+        ("X", "alpha", "beta", "eta", "mu", "at_X", "factors")
 
 
 def test_correction_term_fields_pinned():
