@@ -9,7 +9,7 @@ bits to absorb its growth above t = |z X|, it fills a :class:`MomentTable`
 in O(T) operations that stay accurate as T grows, once per (n, rank),
 shared by every step.
 The table also carries the point columns at X, which the closure's u(X) = 0
-condition pairs with each new correction.
+condition pairs with each correction, and the recurrence's row factors.
 
 One step of the method is the three-part FD step: apply the potential part
 of the operator to the newest correction in the mixed basis

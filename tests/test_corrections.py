@@ -255,7 +255,8 @@ def test_payload_field_of_another_kind_rejected(x_solution, field, value, kind):
     # another fault (a float lambda0 loads, then misses its sum)
     payload = solution_to_payload(x_solution, CTX)
     payload[field] = value
-    with pytest.raises(ValueError, match=f"^a solution payload field {field} must be a JSON {kind}, got "):
+    message = f"^a solution payload field {field} must be a JSON {kind}, got "
+    with pytest.raises(ValueError, match=message):
         solution_from_payload(payload)
 
 
@@ -265,7 +266,8 @@ def test_payload_term_family_of_another_kind_rejected(x_solution, family):
     for value in (None, ["1", None]):
         payload = solution_to_payload(x_solution, CTX)
         payload["terms"][2][family] = value
-        with pytest.raises(ValueError, match=f"^payload term 2 field {family} must be a JSON list of strings"):
+        message = f"^payload term 2 field {family} must be a JSON list of strings, got "
+        with pytest.raises(ValueError, match=message):
             solution_from_payload(payload)
 
 

@@ -79,8 +79,8 @@ def test_dot_kernel_is_fdot_bit_for_bit(prec, data):
     entry = st.none() | st.tuples(st.integers(-2 ** (2 * prec), 2 ** (2 * prec)), exponent)
     drawn = data.draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=24))
     copies = data.draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 24)), max_size=3))
-    specials = data.draw(st.lists(st.tuples(st.integers(0, 47), st.sampled_from(["inf", "-inf", "nan"])),
-                                  max_size=2))
+    special = st.sampled_from(["inf", "-inf", "nan"])
+    specials = data.draw(st.lists(st.tuples(st.integers(0, 47), special), max_size=2))
     with mp.workprec(prec):
         pairs = [tuple(mp.ldexp(*e) if e else mpf(0) for e in pair) for pair in drawn]
         # a negated copy cancels a product exactly; whether a far smaller

@@ -15,8 +15,9 @@ record holds, per side and workload, every end-to-end metric's values in
 run order with their median, range and interquartile range, the ops
 attempted per run, and the per-layer metrics of the traced pass; with two
 sides, per workload and metric, how many pairs the change won (ties count
-for neither); and the commits, whether ``src/`` or ``bench/`` had uncommitted
-edits, the Python and mpmath versions and mpmath's backend.  The exit status is 1 if the record lacks an end-to-end metric of
+for neither); and the commits, whether ``src/`` or ``bench/`` had
+uncommitted edits, the Python and mpmath versions and mpmath's backend.
+The exit status is 1 if the record lacks an end-to-end metric of
 ``BENCHMARK.json`` on some workload, or a run or a traced pass was not
 correct.
 """
@@ -59,8 +60,8 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: b
 
 def summary(values: list) -> dict:
     """Median, [min, max] and interquartile range of one metric's runs."""
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
-        else values * 3
+    # one run has no spread: its quartiles are its value
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
     return {"median": statistics.median(values), "range": [min(values), max(values)],
             "iqr": q3 - q1, "values": values}
 
@@ -100,15 +101,15 @@ def missing(record: dict, benchmark: dict) -> list:
 def record(checkouts: dict, benchmark: dict, runs: int, seconds: float, seed: int) -> dict:
     """Per side and workload, the record of ``runs`` untraced runs, alternating
     which side goes first, and of one traced pass."""
-    names, sides, seeds = [w["name"] for w in benchmark["workloads"]], list(checkouts), []
+    names, sides = [w["name"] for w in benchmark["workloads"]], list(checkouts)
+    seeds = [seed + i for i in range(runs)]
     results = {side: {name: [] for name in names} for side in sides}
-    for i in range(runs):
-        seeds.append(seed + i)
+    for i, run_seed in enumerate(seeds):
         for name in names:
             for side in sides[i % 2:] + sides[:i % 2]:
                 print(f"run {i + 1}/{runs} {name} {side}", file=sys.stderr, flush=True)
                 results[side][name].append(
-                    bench_run(checkouts[side], name, seed + i, seconds, False))
+                    bench_run(checkouts[side], name, run_seed, seconds, False))
     return {side: {name: side_record(results[side][name],
                                      bench_run(checkouts[side], name, seed, TRACE_SECONDS, True),
                                      seeds)
